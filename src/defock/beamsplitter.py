@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -300,9 +301,13 @@ def entropy_scan(family: str, alpha_grid, tau_grid=None, *,
     Every grid point is evaluated independently; failures are recorded
     in the ``flag`` column and never abort the scan.  For the ``nlcs``
     family the closed-form value is computed alongside the direct one.
+    ``workers`` is clamped to the number of CPUs.
     """
     if family not in _SCAN_FAMILIES:
         raise ValidationError(f"unknown scan family {family!r}")
+    if workers < 1:
+        raise ValidationError(f"workers must be >= 1, got {workers}")
+    workers = min(int(workers), os.cpu_count() or 1)
     alphas = [float(a) for a in np.atleast_1d(alpha_grid)]
     taus = [float(t) for t in np.atleast_1d(tau_grid)] if tau_grid is not None else [0.0]
     if not alphas or not taus:

@@ -76,7 +76,9 @@ def omega(t: float, p: MeasureParams) -> float:
     return math.exp(logv)
 
 
-def _moment_integral(n: int, p: MeasureParams, upper: float = math.inf) -> float:
+def _moment_integral(n: int, p: MeasureParams,
+                     upper: float = math.inf) -> tuple[float, float]:
+    # returns (value, quad's absolute error estimate)
     # substitute u = sqrt(t): int t^n Omega dt = int 2 u^(2n+1) Omega(u^2) du
     def integrand(u):
         if u <= 0.0:
@@ -93,7 +95,7 @@ def _moment_integral(n: int, p: MeasureParams, upper: float = math.inf) -> float
         raise QuadratureError(
             f"moment quadrature did not converge (n={n}, value={value!r}, err={err!r})"
         )
-    return value
+    return value, err
 
 
 def calibrate(tau: float) -> MeasureParams:
@@ -107,15 +109,22 @@ def calibrate(tau: float) -> MeasureParams:
     if tau <= 0:
         raise ValidationError("tau must be > 0")
     raw = MeasureParams(tau=tau, mu=1.0 + 2.0 / tau, beta=0.0, norm=1.0)
-    zeroth = _moment_integral(0, raw)
+    zeroth, _ = _moment_integral(0, raw)
     return MeasureParams(tau=tau, mu=raw.mu, beta=raw.beta, norm=1.0 / zeroth)
 
 
 @dataclass(frozen=True)
 class MomentCheck:
+    """One moment of the measure against rho_n.
+
+    ``quad_err`` is the absolute error estimate ``quad`` returned for
+    ``computed``; it is not written to the CLI artifacts.
+    """
+
     n: int
     computed: float
     target: float
+    quad_err: float
 
     @property
     def rel_err(self) -> float:
@@ -136,8 +145,8 @@ def moment_check(n: int, p: MeasureParams, upper: float = math.inf) -> MomentChe
     if n < 0:
         raise ValidationError("moment order must be >= 0")
     target = _rho_target(p.tau, n)
-    computed = _moment_integral(n, p, upper)
-    return MomentCheck(n=n, computed=computed, target=target)
+    computed, quad_err = _moment_integral(n, p, upper)
+    return MomentCheck(n=n, computed=computed, target=target, quad_err=quad_err)
 
 
 def moment_table(p: MeasureParams, n_top: int) -> list:

@@ -53,6 +53,8 @@ __all__ = [
 
 _BOUNDARY_TOL = 1e-12
 _DEGENERATE_TOL = 1e-14
+# rows of the (points x n_max) phase matrix built at once: 4 MB at n_max 64
+_AUTOCORR_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -298,14 +300,19 @@ def gk_autocorrelation(J: float, gamma: float, tau: float, omega: float,
 
     Equals |sum_n P_n exp(-i e_n omega t)|^2 with P_n the normalized
     level weights J^n/rho_n; the gamma dependence cancels.  A(0) = 1.
+    The grid is evaluated in chunks of ``_AUTOCORR_CHUNK`` points, so the
+    working set stays bounded for any grid size.
     """
-    t = np.asarray(t_grid, dtype=float)
+    t = np.asarray(t_grid, dtype=float).ravel()
     if t.size and not np.all(np.isfinite(t)):
         raise ValidationError("t_grid must be finite")
     state = gk_coherent(J, gamma, tau, n_max, basis="bare")
     p = np.abs(state.amps) ** 2
     e = dimensionless_e(Deformation.perturbative_nc(tau), np.arange(state.n_max))
-    z = np.exp(-1j * omega * np.outer(t, e)) @ p
+    z = np.empty(t.shape, dtype=complex)
+    for lo in range(0, t.size, _AUTOCORR_CHUNK):
+        hi = lo + _AUTOCORR_CHUNK
+        z[lo:hi] = np.exp(-1j * omega * np.outer(t[lo:hi], e)) @ p
     return np.abs(z) ** 2
 
 

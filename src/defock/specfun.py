@@ -1,13 +1,13 @@
-"""Self-contained special-function kernels.
+"""Special-function kernels for the state constructors and the measure check.
 
-Everything the state constructors and the measure check need lives here:
 q-brackets and q-factorials, rising factorials, physicists' Hermite
-polynomials, terminating Gauss hypergeometric sums, the modified Bessel
-function of the second kind, and ``log_gamma``.
+polynomials and terminating Gauss hypergeometric sums are written out
+here.  The two hot kernels are library-backed: ``log_gamma`` is the C
+library's ``lgamma`` (via ``math``), and ``bessel_k_log`` / ``bessel_k``
+use ``scipy.special.kve`` (Amos' algorithm), with an ``mpmath``
+fallback where the scaled value leaves the double range.
 
-All functions are pure and reentrant.  Ranges are tuned to what the
-toolkit needs (orders up to a few hundred, Bessel orders up to ~60,
-arguments up to ~700), not to general-purpose library coverage.
+All functions are pure and reentrant.
 """
 
 from __future__ import annotations
@@ -16,8 +16,9 @@ import math
 
 import mpmath as mp
 import numpy as np
+from scipy.special import kve
 
-from .errors import QuadratureError, ValidationError
+from .errors import ValidationError
 
 __all__ = [
     "q_bracket",
@@ -131,148 +132,36 @@ def gauss_2f1_terminating(n: int, b: complex, c: float, z: float) -> complex:
 
 
 def log_gamma(x: float) -> float:
-    """ln Gamma(x) for x > 0 (Lanczos approximation, g = 7).
+    """ln Gamma(x) for x > 0, by the C library's ``lgamma``.
 
     x = 1 and x = 2 return exactly 0 so empty factorial products stay
     exact downstream.
     """
     if x <= 0:
         raise ValidationError(f"log_gamma needs x > 0, got {x}")
-    if x == 1.0 or x == 2.0:
-        return 0.0
-    return _lanczos_log_gamma(x)
-
-
-_LANCZOS_G = 7.0
-_LANCZOS_COEF = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-
-def _lanczos_log_gamma(x: float) -> float:
-    # shift to x >= 1 via Gamma(x) = Gamma(x+1)/x for accuracy at small x
-    if x < 0.5:
-        return math.log(math.pi / math.sin(math.pi * x)) - _lanczos_log_gamma(1.0 - x)
-    x -= 1.0
-    acc = _LANCZOS_COEF[0]
-    for i, coef in enumerate(_LANCZOS_COEF[1:], start=1):
-        acc += coef / (x + i)
-    t = x + _LANCZOS_G + 0.5
-    return 0.5 * math.log(2.0 * math.pi) + (x + 0.5) * math.log(t) - t + math.log(acc)
+    return math.lgamma(x)
 
 
 # ---------------------------------------------------------------------------
 # Modified Bessel function of the second kind
 # ---------------------------------------------------------------------------
 
-def _log_cosh(y: np.ndarray) -> np.ndarray:
-    y = np.abs(y)
-    return y + np.log1p(np.exp(-2.0 * y)) - math.log(2.0)
-
-
-def _leggauss(order: int):
-    # cache the node tables; leggauss is deterministic but not free
-    table = _leggauss.cache.get(order)
-    if table is None:
-        table = np.polynomial.legendre.leggauss(order)
-        _leggauss.cache[order] = table
-    return table
-
-
-_leggauss.cache = {}
-
-
 def bessel_k_log(nu: float, x: float) -> float:
-    """ln K_nu(x) for x > 0, via K_nu(x) = int_0^inf exp(-x cosh u) cosh(nu u) du.
+    """ln K_nu(x) for x > 0.
 
-    The exponent g(u) = -x cosh u + ln cosh(nu u) is maximised once,
-    the integration window is clipped where g falls 60 below the peak,
-    and exp(g - g_max) is integrated with Gauss-Legendre rules refined
-    until two consecutive orders agree to 1e-12 relative.  Working in
-    the log domain keeps large orders at small argument representable.
+    Uses the exponentially scaled K of ``scipy.special.kve`` (Amos,
+    ACM TOMS 644), ln K = ln kve - x.  Where ``kve`` overflows (large
+    order at small argument, e.g. nu = 60, x = 1e-4) the logarithm is
+    taken by ``mpmath``, whose exponent range is unbounded.
     """
     if x <= 0:
         raise ValidationError(f"bessel_k needs x > 0, got {x}")
     nu = abs(float(nu))
     x = float(x)
-
-    def g(u):
-        return -x * np.cosh(u) + _log_cosh(nu * u)
-
-    def gprime(u):
-        return -x * math.sinh(u) + nu * math.tanh(nu * u)
-
-    # peak of the exponent: interior iff nu^2 > x
-    if nu * nu <= x:
-        u0 = 0.0
-    else:
-        hi = 1.0
-        while gprime(hi) > 0.0:
-            hi *= 2.0
-            if hi > 1e3:  # pragma: no cover - unreachable for sane inputs
-                raise QuadratureError("bessel_k peak search failed")
-        lo = 0.0
-        for _ in range(72):
-            mid = 0.5 * (lo + hi)
-            if gprime(mid) > 0.0:
-                lo = mid
-            else:
-                hi = mid
-        u0 = 0.5 * (lo + hi)
-    g0 = float(g(np.asarray(u0)))
-
-    drop = 60.0
-
-    def _has_dropped(u):
-        return float(g(np.asarray(u))) - g0 < -drop
-
-    def _find_cut(start, direction):
-        # walk until g has dropped far enough past the peak, then bisect
-        step = 0.5
-        inside = start
-        while True:
-            cand = inside + direction * step
-            if direction < 0 and cand <= 0.0:
-                return 0.0
-            if _has_dropped(cand):
-                break
-            inside = cand
-            step *= 1.7
-            if step > 1e4:  # pragma: no cover
-                raise QuadratureError("bessel_k cutoff search failed")
-        outside = cand
-        for _ in range(44):
-            mid = 0.5 * (inside + outside)
-            if _has_dropped(mid):
-                outside = mid
-            else:
-                inside = mid
-        return outside
-
-    right = _find_cut(u0, +1)
-    left = 0.0 if u0 == 0.0 else _find_cut(u0, -1)
-
-    prev = None
-    for order in (96, 192, 384, 768, 1536):
-        nodes, weights = _leggauss(order)
-        mid = 0.5 * (left + right)
-        half = 0.5 * (right - left)
-        u = mid + half * nodes
-        val = float(np.sum(weights * np.exp(g(u) - g0)) * half)
-        if prev is not None and abs(val - prev) <= 1e-12 * abs(val):
-            return g0 + math.log(val)
-        prev = val
-    raise QuadratureError(
-        f"bessel_k quadrature did not converge for nu={nu}, x={x}"
-    )
+    scaled = float(kve(nu, x))
+    if 0.0 < scaled < math.inf:
+        return math.log(scaled) - x
+    return float(mp.log(mp.besselk(nu, x)))
 
 
 def bessel_k(nu: float, x: float) -> float:

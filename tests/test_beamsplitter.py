@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from defock import beamsplitter
 from defock.beamsplitter import (
     BeamSplitter,
     DensityMatrix,
@@ -274,6 +275,38 @@ def test_scan_validation():
         entropy_scan("nope", [1.0], [0.1])
     with pytest.raises(ValidationError):
         entropy_scan("nlcs", [], [0.1])
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps inline."""
+
+    def __init__(self, seen, max_workers):
+        seen.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+def test_scan_workers_clamped_to_cpu_count(monkeypatch):
+    seen = []
+    monkeypatch.setattr(beamsplitter, "ProcessPoolExecutor",
+                        lambda max_workers: RecordingPool(seen, max_workers))
+    monkeypatch.setattr(beamsplitter.os, "cpu_count", lambda: 2)
+    table = entropy_scan("glauber", [0.5, 1.0, 1.5], None, n_max=16, workers=10**6)
+    assert seen == [2]
+    assert len(table.rows) == 3
+    monkeypatch.setattr(beamsplitter.os, "cpu_count", lambda: None)
+    entropy_scan("glauber", [0.5], None, n_max=16, workers=8)
+    assert seen == [2]  # one usable CPU: no pool at all
+    for bad in (0, -3):
+        with pytest.raises(ValidationError):
+            entropy_scan("glauber", [0.5], None, n_max=16, workers=bad)
 
 
 def test_scan_workers_deterministic():

@@ -143,6 +143,14 @@ def test_entropy_scan_empty_grid_exit_2(tmp_path):
     assert code == 2
 
 
+def test_entropy_scan_nonpositive_workers_exit_2(tmp_path):
+    code = run([
+        "entropy-scan", "--family", "glauber", "--alphas", "0.5",
+        "--workers", "0", "--out", str(tmp_path),
+    ])
+    assert code == 2
+
+
 def test_measure_check_ok_and_domain(tmp_path):
     code = run([
         "measure-check", "--tau", "0.5", "--moments", "4", "--out", str(tmp_path),

@@ -1,8 +1,8 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
-from scipy.special import kv
 
 from defock.errors import ValidationError
 from defock.measure import MeasureParams, calibrate, moment_check, moment_table, omega
@@ -28,19 +28,28 @@ def test_moments_match_rho(tau):
         assert chk.rel_err <= 1e-6, (tau, chk.n, chk.rel_err)
 
 
-def test_omega_against_scipy_kernel():
-    # same formula evaluated with the scipy Bessel as an independent route
+def test_omega_against_mpmath_kernel():
+    # same formula evaluated with the mpmath Bessel as an independent route
     p = calibrate(0.1)
     t = 1.0
     x = 2.0 * math.sqrt(2.0 * t / p.tau)
+    with mp.workdps(30):
+        log_k = float(mp.log(mp.besselk(p.mu, x)))
     log_ref = (
         math.log(p.norm)
         + 0.5 * (4.0 + p.mu) * math.log(2.0)
         - math.log(p.tau)
         + 0.5 * p.mu * math.log(t / p.tau)
-        + math.log(kv(p.mu, x))
+        + log_k
     )
     assert omega(t, p) == pytest.approx(math.exp(log_ref), rel=1e-8)
+
+
+@pytest.mark.parametrize("tau", [0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 4.0])
+def test_ten_moments_and_quad_error(tau):
+    for chk in moment_table(calibrate(tau), 10):
+        assert chk.rel_err <= 1e-13, (tau, chk.n, chk.rel_err)
+        assert 0.0 <= chk.quad_err <= 1e-8 * chk.computed, (tau, chk.n, chk.quad_err)
 
 
 def test_omega_positive_on_log_grid():

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from defock.deform import Deformation
+from defock import metrics
+from defock.deform import Deformation, dimensionless_e
 from defock.errors import DegenerateStateError, TruncationError, ValidationError
 from defock.metrics import (
     LadderAction,
@@ -330,6 +332,28 @@ def test_autocorrelation_full_revival_at_half_t_rev():
     val = gk_autocorrelation(1.5, 0.0, 0.1, 0.5, [rt.t_rev / 2.0, rt.t_rev])
     assert val[0] == pytest.approx(1.0, abs=1e-9)
     assert val[1] == pytest.approx(1.0, abs=1e-9)
+
+
+def test_autocorrelation_chunks_match_unchunked_formula():
+    t = np.linspace(0.0, 200.0, 3 * metrics._AUTOCORR_CHUNK + 17)
+    a = gk_autocorrelation(1.5, 0.0, 0.1, 0.5, t)
+    state = gk_coherent(1.5, 0.0, 0.1, 64, basis="bare")
+    p = np.abs(state.amps) ** 2
+    e = dimensionless_e(Deformation.perturbative_nc(0.1), np.arange(state.n_max))
+    ref = np.abs(np.exp(-1j * 0.5 * np.outer(t, e)) @ p) ** 2
+    assert np.max(np.abs(a - ref)) <= 1e-15
+
+
+def test_autocorrelation_memory_bounded():
+    # unchunked, 2e5 points x 64 levels of complex128 is ~200 MB per array
+    t = np.linspace(0.0, 100.0, 200_000)
+    tracemalloc.start()
+    try:
+        gk_autocorrelation(1.5, 0.0, 0.1, 0.5, t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 def test_autocorrelation_gamma_independent():

@@ -1,10 +1,11 @@
 import math
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import gammaln, kv
+from scipy.special import kve
 
 from defock.errors import ValidationError
 from defock.specfun import (
@@ -218,16 +219,29 @@ def test_bessel_k_recurrence():
             assert abs(math.expm1(lhs - rhs)) < 1e-8
 
 
-def test_bessel_k_scipy_grid():
+def mp_bessel_k_log(nu, x):
+    # 30-digit mpmath reference, independent of the scipy kernel under test
+    with mp.workdps(30):
+        return float(mp.log(mp.besselk(nu, float(x))))
+
+
+def test_bessel_k_mpmath_grid():
     worst = 0.0
     for nu in (0.0, 0.5, 1.5, 7.3, 21.0, 40.0, 60.0):
         for x in np.geomspace(0.01, 700.0, 17):
-            ref = kv(nu, x)
-            if not np.isfinite(ref) or ref <= 0.0:
-                continue
-            rel = abs(math.expm1(bessel_k_log(nu, x) - math.log(ref)))
+            rel = abs(math.expm1(bessel_k_log(nu, x) - mp_bessel_k_log(nu, x)))
             worst = max(worst, rel)
     assert worst < 1e-10
+
+
+@pytest.mark.parametrize("nu", [41.0, 60.0])
+@pytest.mark.parametrize("x", [1e-6, 1e-4])
+def test_bessel_k_log_past_double_range(nu, x):
+    # kve overflows at (41, 1e-6), (60, 1e-6) and (60, 1e-4); the
+    # log-domain fallback must agree with the finite route at (41, 1e-4)
+    # and with mpmath everywhere
+    assert math.isfinite(kve(nu, x)) == ((nu, x) == (41.0, 1e-4))
+    assert abs(math.expm1(bessel_k_log(nu, x) - mp_bessel_k_log(nu, x))) < 1e-10
 
 
 def test_bessel_k_errors():
@@ -244,14 +258,16 @@ def test_bessel_k_errors():
 # ---------------------------------------------------------------- log gamma
 
 def test_log_gamma_examples():
-    assert log_gamma(1.0) == pytest.approx(0.0, abs=1e-14)
+    assert log_gamma(1.0) == 0.0
+    assert log_gamma(2.0) == 0.0
     assert log_gamma(5.0) == pytest.approx(math.log(24.0), rel=1e-13)
     assert log_gamma(0.5) == pytest.approx(math.log(math.sqrt(math.pi)), rel=1e-13)
 
 
-def test_log_gamma_scipy_grid():
+def test_log_gamma_mpmath_grid():
     for x in np.geomspace(0.05, 500.0, 60):
-        ref = float(gammaln(x))
+        with mp.workdps(30):
+            ref = float(mp.loggamma(float(x)))
         assert log_gamma(float(x)) == pytest.approx(ref, rel=1e-12, abs=1e-12)
 
 
