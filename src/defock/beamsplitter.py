@@ -21,9 +21,10 @@ import numpy as np
 
 from .errors import DefockError, ValidationError
 from .fock_io import ScanTable
-from .specfun import log_gamma
+from .specfun import log_factorial_table
 from .states import (
     FockState,
+    _check_n_max,
     glauber,
     ho_squeezed,
     nc_coherent_coeffs,
@@ -41,7 +42,6 @@ __all__ = [
     "linear_entropy",
     "von_neumann_entropy",
     "linear_entropy_closed_form",
-    "linear_entropy_closed_form_naive",
     "entropy_scan",
 ]
 
@@ -117,11 +117,23 @@ class DensityMatrix:
         return self
 
 
-def _log_binomial_half(n: int) -> np.ndarray:
-    """0.5 * log C(n, q) for q = 0..n."""
-    q = np.arange(n + 1, dtype=float)
-    lg = np.array([log_gamma(v + 1.0) for v in range(n + 1)])
-    return 0.5 * (lg[n] - lg - lg[::-1])
+def _transform_matrix(c: np.ndarray, t, r) -> np.ndarray:
+    """M[q, m] = c[q+m] sqrt(C(q+m, q)) t^q r^m for q + m < n = len(c),
+    in one broadcast over the (q, m) grid.  ``c`` is zero-padded past n,
+    where the binomial stays finite, so the rest of M is exactly 0.
+    Terms indexed by q + m are read through Hankel views, not gathered."""
+    n = len(c)
+    q = np.arange(n)
+    lf = log_factorial_table(2 * n - 1)
+    hankel = np.lib.stride_tricks.sliding_window_view  # hankel(x, n)[q, m] = x[q + m]
+    binom_half = hankel(lf, n) - lf[:n, None]
+    binom_half -= lf[:n]
+    binom_half *= 0.5
+    np.exp(binom_half, out=binom_half)
+    out = hankel(np.concatenate([c, np.zeros(n - 1, dtype=complex)]), n) * binom_half
+    out *= (t ** q)[:, None]
+    out *= r ** q
+    return out
 
 
 def split_fock(n: int, bs: BeamSplitter):
@@ -133,21 +145,20 @@ def split_fock(n: int, bs: BeamSplitter):
     if n < 0:
         raise ValidationError("photon number must be >= 0")
     ql = np.arange(n + 1)
-    coeff = np.exp(_log_binomial_half(n)) * (bs.t ** ql) * (bs.r ** (n - ql))
+    lf = log_factorial_table(n + 1)
+    binom_half = np.exp(0.5 * (lf[n] - lf - lf[::-1]))
+    coeff = binom_half * (bs.t ** ql) * (bs.r ** (n - ql))
     return list(zip(ql.tolist(), coeff.tolist()))
 
 
 def apply_beamsplitter(state: FockState, bs: BeamSplitter) -> TwoModeState:
-    """Transform a single-mode state (vacuum at the idle port), level by level."""
-    n_max = state.n_max
-    out = np.zeros((n_max, n_max), dtype=complex)
-    for k in range(n_max):
-        ck = state.amps[k]
-        if ck == 0:
-            continue
-        ql = np.arange(k + 1)
-        coeff = np.exp(_log_binomial_half(k)) * (bs.t ** ql) * (bs.r ** (k - ql))
-        out[ql, k - ql] += ck * coeff
+    """Transform a single-mode state (vacuum at the idle port).
+
+    Level k of the input feeds the anti-diagonal q + m = k of the output
+    amplitude matrix, M[q, m] = c[q+m] sqrt(C(q+m, q)) t^q r^m; the whole
+    matrix is built in one broadcast.
+    """
+    out = _transform_matrix(state.amps, bs.t, bs.r)
     out /= math.sqrt(float(np.sum(np.abs(out) ** 2)))
     return TwoModeState(out)
 
@@ -189,20 +200,6 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
 # closed-form linear entropy for the minimal-length coherent state
 # ---------------------------------------------------------------------------
 
-def _closed_form_tables(alpha, tau, bs, n_max):
-    coeffs = nc_coherent_coeffs(alpha, tau, n_max)
-    norm_sq = float(np.sum(np.abs(coeffs) ** 2))
-    at = abs(bs.t)
-    ar = abs(bs.r)
-    lg = np.array([log_gamma(v + 1.0) for v in range(n_max)])
-    d_mat = np.zeros((n_max, n_max), dtype=complex)  # D[m, q], m+q < n_max
-    for m in range(n_max):
-        qs = np.arange(n_max - m)
-        binom_half = np.exp(0.5 * (lg[m + qs] - lg[m] - lg[qs]))
-        d_mat[m, qs] = (at ** qs) * (ar ** m) * binom_half * coeffs[m + qs]
-    return d_mat, norm_sq
-
-
 def linear_entropy_closed_form(alpha: complex, tau: float, bs: BeamSplitter,
                                n_max: int, *,
                                boundary_warn: float = 1e-12) -> float:
@@ -216,9 +213,10 @@ def linear_entropy_closed_form(alpha: complex, tau: float, bs: BeamSplitter,
     A warning is emitted when the discarded boundary terms exceed
     ``boundary_warn`` of the total.
     """
-    if n_max < 1:
-        raise ValidationError("n_max must be >= 1")
-    d_mat, norm_sq = _closed_form_tables(alpha, tau, bs, n_max)
+    _check_n_max(n_max)
+    coeffs = nc_coherent_coeffs(alpha, tau, n_max)
+    norm_sq = float(np.sum(np.abs(coeffs) ** 2))
+    d_mat = _transform_matrix(coeffs, abs(bs.t), abs(bs.r)).T  # D[m, q]
     e_mat = d_mat.conj().T @ d_mat
     total = float(np.sum(np.abs(e_mat) ** 2).real)
     # boundary contribution: drop the outermost anti-diagonal m + q = n_max - 1
@@ -233,31 +231,6 @@ def linear_entropy_closed_form(alpha: complex, tau: float, bs: BeamSplitter,
             f"{abs(total - inner) / total:.2e} of the sum; enlarge n_max",
             stacklevel=2,
         )
-    return 1.0 - total / norm_sq**2
-
-
-def linear_entropy_closed_form_naive(alpha: complex, tau: float,
-                                     bs: BeamSplitter, n_max: int) -> float:
-    """Literal quadruple loop over (q, s, m, n); reference for testing."""
-    coeffs = nc_coherent_coeffs(alpha, tau, n_max)
-    norm_sq = float(np.sum(np.abs(coeffs) ** 2))
-    lg = [math.exp(log_gamma(v + 1.0)) for v in range(n_max)]
-    sq = [math.sqrt(v) for v in lg]
-    g = [coeffs[k] * sq[k] for k in range(n_max)]  # C(alpha,k)/f(k)! scaled
-    at2 = abs(bs.t) ** 2
-    ar2 = abs(bs.r) ** 2
-    total = 0.0
-    for q in range(n_max):
-        for s in range(n_max):
-            for m in range(n_max - max(q, s)):
-                for n in range(n_max - max(q, s)):
-                    term = (
-                        (at2 ** (q + s)) * (ar2 ** (m + n))
-                        * g[m + q] * g[m + s].conjugate()
-                        * g[n + s] * g[n + q].conjugate()
-                        / (lg[q] * lg[s] * lg[m] * lg[n])
-                    )
-                    total += term.real
     return 1.0 - total / norm_sq**2
 
 
@@ -308,6 +281,7 @@ def entropy_scan(family: str, alpha_grid, tau_grid=None, *,
     if workers < 1:
         raise ValidationError(f"workers must be >= 1, got {workers}")
     workers = min(int(workers), os.cpu_count() or 1)
+    _check_n_max(n_max)
     alphas = [float(a) for a in np.atleast_1d(alpha_grid)]
     taus = [float(t) for t in np.atleast_1d(tau_grid)] if tau_grid is not None else [0.0]
     if not alphas or not taus:

@@ -24,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import PerturbativeRegimeWarning, ValidationError
-from .specfun import log_gamma, q_bracket
+from .specfun import log_factorial_table
 
 __all__ = [
     "Deformation",
@@ -101,27 +101,23 @@ class SpectrumCoeffs:
         return cls(A=1.0 + tau / 2.0, B=tau / 2.0)
 
 
-def _f_squared_scalar(d: Deformation, n: int) -> float:
-    if n < 0:
-        raise ValidationError("f_squared needs n >= 0")
-    if d.kind == "harmonic":
-        return 1.0
-    if d.kind == "nc":
-        sc = SpectrumCoeffs.from_tau(d.tau)
-        return sc.A + sc.B * n
-    if n == 0:
-        return 1.0  # [0]/0 is taken as 1 so rho_0 = 1 holds uniformly
-    return q_bracket(n, d.q) / n
-
-
 def f_squared(d: Deformation, n):
     """f^2(n) for the active kernel; accepts an int or an integer array."""
-    if np.isscalar(n):
-        return _f_squared_scalar(d, int(n))
-    n_arr = np.asarray(n)
-    return np.array([_f_squared_scalar(d, int(k)) for k in n_arr.ravel()]).reshape(
-        n_arr.shape
-    )
+    n_arr = np.asarray(n, dtype=float)
+    if np.any(n_arr < 0):
+        raise ValidationError("f_squared needs n >= 0")
+    if d.kind == "nc":
+        sc = SpectrumCoeffs.from_tau(d.tau)
+        out = sc.A + sc.B * n_arr
+    elif d.kind == "q" and d.q < 1.0:
+        # [n]_q / n; [0]/0 is taken as 1 so rho_0 = 1 holds uniformly
+        lq = math.log(d.q)
+        safe = np.maximum(n_arr, 1.0)
+        out = np.where(n_arr == 0, 1.0,
+                       np.expm1(2.0 * safe * lq) / math.expm1(2.0 * lq) / safe)
+    else:
+        out = np.ones_like(n_arr)
+    return float(out) if out.ndim == 0 else out
 
 
 def log_f_factorial_squared(d: Deformation, n: int) -> float:
@@ -166,8 +162,7 @@ def log_rho_table(d: Deformation, nmax: int) -> np.ndarray:
     """Read-only table of log rho_n for n = 0 .. nmax-1."""
     if nmax < 1:
         raise ValidationError("table length must be >= 1")
-    lgam = np.array([log_gamma(k + 1.0) for k in range(nmax)])
-    table = lgam + log_f_factorial_table(d, nmax)
+    table = log_factorial_table(nmax) + log_f_factorial_table(d, nmax)
     table.flags.writeable = False
     return table
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 from scipy.integrate import quad
 
@@ -52,16 +53,24 @@ class MeasureParams:
             raise ValidationError("Bessel order mu - beta must be >= 0")
         if self.norm <= 0:
             raise ValidationError("norm must be > 0")
+        # the t-independent part of log Omega, hoisted out of the integrand
+        object.__setattr__(self, "_log_const",
+                           math.log(self.norm) + _log_shape_const(self.tau, self.mu, self.beta))
+
+
+@lru_cache(maxsize=64)
+def _log_shape_const(tau: float, mu: float, beta: float) -> float:
+    # log Omega less log norm, the t power and the Bessel factor; the raw and
+    # calibrated parameters of calibrate differ in norm only, so they share it
+    return (0.5 * (4.0 + mu + beta) * math.log(2.0) - math.log(tau)
+            - log_gamma(1.0 + beta) - 0.5 * (mu + beta) * math.log(tau))
 
 
 def _log_omega(t: float, p: MeasureParams) -> float:
     x = 2.0 * math.sqrt(2.0 * t / p.tau)
     return (
-        math.log(p.norm)
-        + 0.5 * (4.0 + p.mu + p.beta) * math.log(2.0)
-        - math.log(p.tau)
-        - log_gamma(1.0 + p.beta)
-        + 0.5 * (p.mu + p.beta) * math.log(t / p.tau)
+        p._log_const
+        + 0.5 * (p.mu + p.beta) * math.log(t)
         + bessel_k_log(p.mu - p.beta, x)
     )
 

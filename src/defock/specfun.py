@@ -2,10 +2,12 @@
 
 q-brackets and q-factorials, rising factorials, physicists' Hermite
 polynomials and terminating Gauss hypergeometric sums are written out
-here.  The two hot kernels are library-backed: ``log_gamma`` is the C
-library's ``lgamma`` (via ``math``), and ``bessel_k_log`` / ``bessel_k``
-use ``scipy.special.kve`` (Amos' algorithm), with an ``mpmath``
-fallback where the scaled value leaves the double range.
+here.  The hot kernels are library-backed: ``log_gamma`` is the C
+library's ``lgamma`` (via ``math``), ``log_factorial_table`` is one
+cached ``scipy.special.gammaln`` table that every factorial-weighted
+series reads, and ``bessel_k_log`` / ``bessel_k`` use
+``scipy.special.kve`` (Amos' algorithm), with an ``mpmath`` fallback
+where the scaled value leaves the double range.
 
 All functions are pure and reentrant.
 """
@@ -13,10 +15,11 @@ All functions are pure and reentrant.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import mpmath as mp
 import numpy as np
-from scipy.special import kve
+from scipy.special import gammaln, kve
 
 from .errors import ValidationError
 
@@ -30,6 +33,7 @@ __all__ = [
     "bessel_k",
     "bessel_k_log",
     "log_gamma",
+    "log_factorial_table",
 ]
 
 _LOG_DBL_MAX = math.log(np.finfo(float).max)
@@ -140,6 +144,23 @@ def log_gamma(x: float) -> float:
     if x <= 0:
         raise ValidationError(f"log_gamma needs x > 0, got {x}")
     return math.lgamma(x)
+
+
+def log_factorial_table(n: int) -> np.ndarray:
+    """Read-only ln k! for k = 0 .. n-1, exactly 0 at k = 0 and 1.
+
+    A view of a cached table whose length is the next power of two (at
+    least 1024), built by a single vectorised ``gammaln`` call.
+    """
+    return _log_factorials(max(1024, 1 << (int(n) - 1).bit_length()))[:n]
+
+
+@lru_cache(maxsize=None)  # keyed by powers of two only
+def _log_factorials(size: int) -> np.ndarray:
+    table = gammaln(np.arange(size) + 1.0)
+    table[:2] = 0.0
+    table.flags.writeable = False
+    return table
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,7 @@ from .errors import (
     TruncationError,
     ValidationError,
 )
-from .specfun import log_gamma, q_bracket
+from .specfun import log_factorial_table, q_bracket
 
 __all__ = [
     "FockState",
@@ -206,14 +206,19 @@ def _tail_mass(log_w: np.ndarray, n_keep: int) -> float:
     return tail / (body + tail)
 
 
+def _check_n_max(n_max):
+    """Reject truncations outside 1 .. MAX_N_MAX before anything is allocated."""
+    if not 1 <= n_max <= MAX_N_MAX:
+        raise ValidationError(f"n_max must lie in 1 .. {MAX_N_MAX}, got {n_max}")
+
+
 def _build_truncated(raw_builder, n_max, tail_threshold, label):
     """Auto-doubling driver shared by all series constructors.
 
     ``raw_builder(N)`` must return ``(amps_unnormalized, log_weights)``
     where the weight series extends at least ``_TAIL_PAD`` past N.
     """
-    if n_max < 1:
-        raise ValidationError("n_max must be >= 1")
+    _check_n_max(n_max)
     n = int(n_max)
     while True:
         amps, log_w = raw_builder(n)
@@ -276,10 +281,6 @@ def _power_series_logs(alpha: complex, log_denom: np.ndarray):
     return log_abs, phase
 
 
-def _lgamma_half_table(nmax: int) -> np.ndarray:
-    return np.array([0.5 * log_gamma(k + 1.0) for k in range(nmax)])
-
-
 def glauber(alpha: complex, n_max: int = DEFAULT_N_MAX, *,
             tail_threshold: float = TAIL_THRESHOLD) -> FockState:
     """Canonical coherent state: amplitudes alpha^n / sqrt(n!), normalized.
@@ -292,7 +293,7 @@ def glauber(alpha: complex, n_max: int = DEFAULT_N_MAX, *,
 
     def build(n):
         w = n + _TAIL_PAD
-        log_abs, phase = _power_series_logs(alpha, _lgamma_half_table(w))
+        log_abs, phase = _power_series_logs(alpha, 0.5 * log_factorial_table(w))
         table = CoeffTable(log_abs[:n], phase[:n])
         return table.scaled_values(), 2.0 * log_abs
 
@@ -307,6 +308,7 @@ def phi_eigenstate(n: int, tau: float, n_max: int = DEFAULT_N_MAX) -> FockState:
     """
     if n < 0:
         raise ValidationError("level index must be >= 0")
+    _check_n_max(n_max)
     if n + 4 >= n_max:
         raise ValidationError(
             f"phi_eigenstate needs n + 4 < n_max (n={n}, n_max={n_max})"
@@ -324,7 +326,7 @@ def phi_eigenstate(n: int, tau: float, n_max: int = DEFAULT_N_MAX) -> FockState:
 
 def _nc_log_denominators(tau: float, nmax: int) -> np.ndarray:
     d = Deformation.perturbative_nc(tau)
-    return _lgamma_half_table(nmax) + 0.5 * log_f_factorial_table(d, nmax)
+    return 0.5 * log_factorial_table(nmax) + 0.5 * log_f_factorial_table(d, nmax)
 
 
 def nlcs(alpha: complex, tau: float, n_max: int = DEFAULT_N_MAX, *,
@@ -521,13 +523,13 @@ def squeezed_coeffs_recurrence(alpha: complex, zeta: complex,
             log_abs[idx] = math.log(mag) + offset
             phase[idx] = value / mag
 
+    f2 = f_squared(deformation, np.arange(n_max)).tolist()
     prev, cur = 1.0 + 0.0j, alpha
     offset = 0.0
     record(0, prev, offset)
     record(1, cur, offset)
     for n in range(1, n_max - 1):
-        f2n = _f2(deformation, n)
-        nxt = alpha * cur - zeta * n * f2n * prev
+        nxt = alpha * cur - zeta * n * f2[n] * prev
         prev, cur = cur, nxt
         top = max(abs(prev), abs(cur))
         if top > 1e120:
@@ -536,10 +538,6 @@ def squeezed_coeffs_recurrence(alpha: complex, zeta: complex,
             offset += math.log(top)
         record(n + 1, cur, offset)
     return CoeffTable(log_abs, phase)
-
-
-def _f2(d: Deformation, n: int) -> float:
-    return f_squared(d, n)
 
 
 def squeezed_coeff_closed_form(alpha: complex, zeta: complex, tau: float,
@@ -589,7 +587,7 @@ def squeezed_coeff_closed_form(alpha: complex, zeta: complex, tau: float,
 def _squeezed_state_logs(alpha: complex, zeta: complex, d: Deformation,
                          nmax: int):
     table = squeezed_coeffs_recurrence(alpha, zeta, d, nmax)
-    log_denom = _lgamma_half_table(nmax) + 0.5 * log_f_factorial_table(d, nmax)
+    log_denom = 0.5 * log_factorial_table(nmax) + 0.5 * log_f_factorial_table(d, nmax)
     return CoeffTable(table.log_abs - log_denom, table.phase)
 
 
@@ -647,7 +645,7 @@ def ho_squeezed(alpha: complex, zeta: complex,
         phase = np.empty(w, dtype=complex)
         h_prev, h_cur = 1.0 + 0.0j, 2.0 * x
         offset = 0.0
-        lg_half = _lgamma_half_table(w)
+        lg_half = 0.5 * log_factorial_table(w)
         for k in range(w):
             if k >= 2:
                 h_prev, h_cur = h_cur, 2.0 * x * h_cur - 2.0 * (k - 1) * h_prev

@@ -12,13 +12,20 @@ from defock.beamsplitter import (
     entropy_scan,
     linear_entropy,
     linear_entropy_closed_form,
-    linear_entropy_closed_form_naive,
     partial_trace,
     split_fock,
     von_neumann_entropy,
 )
 from defock.errors import PerturbativeRegimeWarning, ValidationError
-from defock.states import FockState, glauber, ho_squeezed, nc_squeezed, nlcs
+from defock.states import (
+    MAX_N_MAX,
+    FockState,
+    glauber,
+    ho_squeezed,
+    nc_coherent_coeffs,
+    nc_squeezed,
+    nlcs,
+)
 
 FIFTY = BeamSplitter.fifty_fifty()
 
@@ -33,6 +40,42 @@ def nc_quiet(*args, **kwargs):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", PerturbativeRegimeWarning)
         return nlcs(*args, **kwargs)
+
+
+def apply_beamsplitter_loop(amps, bs):
+    """Level-by-level transform: level k feeds q + m = k; reference only."""
+    n_max = len(amps)
+    out = np.zeros((n_max, n_max), dtype=complex)
+    for k in range(n_max):
+        ql = np.arange(k + 1)
+        lg = np.array([math.lgamma(v + 1.0) for v in range(k + 1)])
+        coeff = np.exp(0.5 * (lg[k] - lg - lg[::-1])) * (bs.t ** ql) * (bs.r ** (k - ql))
+        out[ql, k - ql] += amps[k] * coeff
+    return out / math.sqrt(float(np.sum(np.abs(out) ** 2)))
+
+
+def linear_entropy_closed_form_naive(alpha, tau, bs, n_max):
+    """Literal quadruple loop over (q, s, m, n); reference only."""
+    coeffs = nc_coherent_coeffs(alpha, tau, n_max)
+    norm_sq = float(np.sum(np.abs(coeffs) ** 2))
+    lg = [math.exp(math.lgamma(v + 1.0)) for v in range(n_max)]
+    sq = [math.sqrt(v) for v in lg]
+    g = [coeffs[k] * sq[k] for k in range(n_max)]  # C(alpha,k)/f(k)! scaled
+    at2 = abs(bs.t) ** 2
+    ar2 = abs(bs.r) ** 2
+    total = 0.0
+    for q in range(n_max):
+        for s in range(n_max):
+            for m in range(n_max - max(q, s)):
+                for n in range(n_max - max(q, s)):
+                    term = (
+                        (at2 ** (q + s)) * (ar2 ** (m + n))
+                        * g[m + q] * g[m + s].conjugate()
+                        * g[n + s] * g[n + q].conjugate()
+                        / (lg[q] * lg[s] * lg[m] * lg[n])
+                    )
+                    total += term.real
+    return 1.0 - total / norm_sq**2
 
 
 # -------------------------------------------------------------- constriction
@@ -75,6 +118,20 @@ def test_apply_beamsplitter_unitary_for_all_inputs():
     for state in (glauber(1.3), nc_quiet(1.0, 0.5), fock_state(3)):
         two = apply_beamsplitter(state, FIFTY)
         assert float(np.sum(np.abs(two.amps) ** 2)) == pytest.approx(1.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 5, 64, 256])
+@pytest.mark.parametrize("theta, phi", [(math.pi / 2, 0.0), (1.1, 0.6), (0.3, 2.0)])
+def test_apply_beamsplitter_matches_level_loop(n_max, theta, phi):
+    rng = np.random.default_rng(n_max)
+    amps = rng.normal(size=n_max) + 1j * rng.normal(size=n_max)
+    state = FockState(amps / np.linalg.norm(amps), 0.0, "random")
+    bs = BeamSplitter(theta=theta, phi=phi)
+    got = apply_beamsplitter(state, bs).amps
+    assert np.max(np.abs(got - apply_beamsplitter_loop(state.amps, bs))) <= 1e-14
+    q = np.arange(n_max)
+    outside = (q[:, None] + q) >= n_max
+    assert np.all(got[outside] == 0)
 
 
 def test_vacuum_passthrough():
@@ -275,6 +332,24 @@ def test_scan_validation():
         entropy_scan("nope", [1.0], [0.1])
     with pytest.raises(ValidationError):
         entropy_scan("nlcs", [], [0.1])
+
+
+def test_n_max_bound(monkeypatch):
+    # checked before any point runs: a point would only flag the error
+    monkeypatch.setattr(beamsplitter, "_scan_point", None)
+    with pytest.raises(ValidationError, match="n_max"):
+        entropy_scan("glauber", [0.5, 1.0], None, n_max=MAX_N_MAX + 1)
+    with pytest.raises(ValidationError, match="n_max"):
+        linear_entropy_closed_form(1.0, 0.1, FIFTY, MAX_N_MAX + 1)
+
+
+def test_n_max_at_bound_still_runs():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        table = entropy_scan("nlcs", [1.0], [0.1], n_max=MAX_N_MAX)
+    row = dict(zip(table.columns, table.rows[0]))
+    assert row["flag"] == ""
+    assert row["S_direct"] == pytest.approx(row["S_closed"], abs=1e-9)
 
 
 class RecordingPool:

@@ -151,6 +151,14 @@ def test_entropy_scan_nonpositive_workers_exit_2(tmp_path):
     assert code == 2
 
 
+def test_nmax_above_limit_exit_2(tmp_path):
+    for argv in (
+        ["state", "--family", "glauber", "--alpha-re", "1"],
+        ["entropy-scan", "--family", "glauber", "--alphas", "0.5"],
+    ):
+        assert run(argv + ["--nmax", "513", "--out", str(tmp_path)]) == 2
+
+
 def test_measure_check_ok_and_domain(tmp_path):
     code = run([
         "measure-check", "--tau", "0.5", "--moments", "4", "--out", str(tmp_path),

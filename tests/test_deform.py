@@ -42,6 +42,22 @@ def test_f_squared_examples():
     assert f_squared(Deformation.q_deformed(0.5), 0) == 1.0
 
 
+@pytest.mark.parametrize("d", [
+    Deformation.harmonic(),
+    Deformation.perturbative_nc(0.3),
+    Deformation.q_deformed(0.7),
+    Deformation.q_deformed(1.0),
+], ids=["harmonic", "nc", "q", "q1"])
+def test_f_squared_array_equals_scalar(d):
+    ns = np.arange(200)
+    arr = f_squared(d, ns)
+    assert arr.shape == ns.shape
+    assert arr.tolist() == [f_squared(d, int(k)) for k in ns]
+    assert f_squared(d, ns.reshape(10, 20)).tolist() == arr.reshape(10, 20).tolist()
+    with pytest.raises(ValidationError):
+        f_squared(d, np.array([1, -1]))
+
+
 def test_f_factorial_examples():
     assert f_factorial_squared(Deformation.harmonic(), 0) == 1.0
     assert f_factorial_squared(nc(0.1), 0) == 1.0

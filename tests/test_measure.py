@@ -4,6 +4,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from defock import measure
 from defock.errors import ValidationError
 from defock.measure import MeasureParams, calibrate, moment_check, moment_table, omega
 
@@ -50,6 +51,14 @@ def test_ten_moments_and_quad_error(tau):
     for chk in moment_table(calibrate(tau), 10):
         assert chk.rel_err <= 1e-13, (tau, chk.n, chk.rel_err)
         assert 0.0 <= chk.quad_err <= 1e-8 * chk.computed, (tau, chk.n, chk.quad_err)
+
+
+def test_prefactor_evaluated_once_per_tau(monkeypatch):
+    calls = []
+    monkeypatch.setattr(measure, "log_gamma", lambda x: calls.append(x) or math.lgamma(x))
+    tau = 0.3125  # a value no other test calibrates, so the prefactor cache is cold
+    moment_table(calibrate(tau), 10)
+    assert calls == [1.0]
 
 
 def test_omega_positive_on_log_grid():

@@ -13,6 +13,7 @@ from defock.specfun import (
     bessel_k_log,
     gauss_2f1_terminating,
     hermite,
+    log_factorial_table,
     log_gamma,
     pochhammer,
     q_bracket,
@@ -269,6 +270,25 @@ def test_log_gamma_mpmath_grid():
         with mp.workdps(30):
             ref = float(mp.loggamma(float(x)))
         assert log_gamma(float(x)) == pytest.approx(ref, rel=1e-12, abs=1e-12)
+
+
+def test_log_factorial_table_mpmath():
+    table = log_factorial_table(600)
+    assert len(table) == 600
+    assert table[0] == 0.0 and table[1] == 0.0
+    with mp.workdps(30):
+        ref = [float(mp.loggamma(k + 1)) for k in range(600)]
+    np.testing.assert_allclose(table, ref, rtol=1e-15, atol=0.0)
+
+
+def test_log_factorial_table_read_only_at_every_length():
+    short = log_factorial_table(5)
+    with pytest.raises(ValueError):
+        short[2] = 1.0
+    long = log_factorial_table(5000)
+    assert not long.flags.writeable
+    assert long[:5].tolist() == short.tolist()
+    assert long[4999] == pytest.approx(math.lgamma(5000.0), rel=1e-15)
 
 
 def test_log_gamma_domain():

@@ -11,6 +11,7 @@ from defock.errors import (
     ValidationError,
 )
 from defock.states import (
+    MAX_N_MAX,
     FockState,
     cat_q,
     cat_norm_sq,
@@ -115,6 +116,18 @@ def test_phi_eigenstate_coefficients():
     assert high == pytest.approx((0.1 / 16.0) * math.sqrt(6 * 7 * 8 * 9), rel=1e-12)
     # numeric anchor for the upper coefficient
     assert high == pytest.approx(0.3436934, abs=5e-7)
+
+
+def test_n_max_bound():
+    for build in (
+        lambda n: glauber(1.0, n),
+        lambda n: nlcs(1.0, 0.1, n),
+        lambda n: q_coherent(0.5, 0.9, n),
+        lambda n: phi_eigenstate(0, 0.1, n),
+    ):
+        with pytest.raises(ValidationError, match="n_max"):
+            build(MAX_N_MAX + 1)
+        assert build(MAX_N_MAX).n_max == MAX_N_MAX
 
 
 def test_phi_eigenstate_range_error():
