@@ -200,6 +200,23 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
 # closed-form linear entropy for the minimal-length coherent state
 # ---------------------------------------------------------------------------
 
+def _boundary_share(d_mat: np.ndarray, e_mat: np.ndarray) -> float:
+    """sum |E|^2 - sum |E_in|^2, where E = D^H D and E_in is built from D
+    less its outermost anti-diagonal B (entries m + q = n - 1), in O(n^2).
+
+    E_in = (D - B)^H (D - B) = E - G - G^H + B^H B with G = D^H B, and
+    B has one entry b_q = D[n-1-q, q] per column, so G[i, j] =
+    conj(D[n-1-j, i]) b_j and B^H B = diag(|b|^2).  With Delta = E - E_in
+    the difference is 2 Re sum conj(E) Delta - sum |Delta|^2.
+    """
+    n = d_mat.shape[0]
+    b = d_mat[np.arange(n)[::-1], np.arange(n)]
+    g = d_mat[::-1].conj().T * b
+    delta = g + g.conj().T
+    delta[np.diag_indices(n)] -= np.abs(b) ** 2
+    return float(2.0 * np.sum((e_mat.conj() * delta).real) - np.sum(np.abs(delta) ** 2))
+
+
 def linear_entropy_closed_form(alpha: complex, tau: float, bs: BeamSplitter,
                                n_max: int, *,
                                boundary_warn: float = 1e-12) -> float:
@@ -219,16 +236,11 @@ def linear_entropy_closed_form(alpha: complex, tau: float, bs: BeamSplitter,
     d_mat = _transform_matrix(coeffs, abs(bs.t), abs(bs.r)).T  # D[m, q]
     e_mat = d_mat.conj().T @ d_mat
     total = float(np.sum(np.abs(e_mat) ** 2).real)
-    # boundary contribution: drop the outermost anti-diagonal m + q = n_max - 1
-    d_inner = d_mat.copy()
-    idx = np.arange(n_max)
-    d_inner[idx, n_max - 1 - idx] = 0.0
-    e_inner = d_inner.conj().T @ d_inner
-    inner = float(np.sum(np.abs(e_inner) ** 2).real)
-    if total > 0 and abs(total - inner) > boundary_warn * total:
+    boundary = _boundary_share(d_mat, e_mat)
+    if total > 0 and abs(boundary) > boundary_warn * total:
         warnings.warn(
             f"entropy closed form: boundary terms contribute "
-            f"{abs(total - inner) / total:.2e} of the sum; enlarge n_max",
+            f"{abs(boundary) / total:.2e} of the sum; enlarge n_max",
             stacklevel=2,
         )
     return 1.0 - total / norm_sq**2

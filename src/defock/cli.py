@@ -9,6 +9,7 @@ invocations produce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -58,7 +59,9 @@ _FAMILY_PARAMS = {
 }
 
 
-def _add_common(p: argparse.ArgumentParser):
+def _common_options() -> argparse.ArgumentParser:
+    """The options every subcommand shares, as a parent parser."""
+    p = argparse.ArgumentParser(add_help=False)
     p.add_argument("--config", help="JSON file with default option values")
     p.add_argument("--deformation", choices=("harmonic", "nc", "q"))
     p.add_argument("--tau", type=float)
@@ -85,6 +88,7 @@ def _add_common(p: argparse.ArgumentParser):
         default="all",
         help="restrict which artifact kinds are written",
     )
+    return p
 
 
 def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
@@ -94,23 +98,26 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", help="JSON file with default option values")
     sub = parser.add_subparsers(dest="command", required=True)
+    # the subparsers share the parent's action objects and set_defaults below
+    # writes into them, so every call builds its own parent
+    common = [_common_options()]
 
-    p_state = sub.add_parser("state", help="construct a state, dump JSON + CSV")
+    p_state = sub.add_parser("state", parents=common,
+                             help="construct a state, dump JSON + CSV")
     p_state.add_argument("--family", choices=_FAMILIES, required=True)
-    _add_common(p_state)
 
-    p_metrics = sub.add_parser("metrics", help="nonclassicality report")
+    p_metrics = sub.add_parser("metrics", parents=common, help="nonclassicality report")
     p_metrics.add_argument("--family", choices=_FAMILIES, required=True)
     p_metrics.add_argument("--number", choices=("bare", "deformed"), default="bare")
-    _add_common(p_metrics)
 
-    p_auto = sub.add_parser("autocorr", help="Gazeau-Klauder autocorrelation trace")
+    p_auto = sub.add_parser("autocorr", parents=common,
+                            help="Gazeau-Klauder autocorrelation trace")
     p_auto.add_argument("--tmax", type=float, required=True)
     p_auto.add_argument("--points", type=int, required=True)
     p_auto.add_argument("--nbar", type=float, help="explicit nbar for t_cl")
-    _add_common(p_auto)
 
-    p_scan = sub.add_parser("entropy-scan", help="beam-splitter entropy scan")
+    p_scan = sub.add_parser("entropy-scan", parents=common,
+                            help="beam-splitter entropy scan")
     p_scan.add_argument(
         "--family",
         choices=("nlcs", "nc-squeezed", "ho-squeezed", "glauber"),
@@ -120,18 +127,31 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     p_scan.add_argument("--alpha-max", type=float)
     p_scan.add_argument("--alpha-steps", type=int)
     p_scan.add_argument("--taus", help="comma list of tau values")
-    _add_common(p_scan)
 
-    p_meas = sub.add_parser("measure-check", help="measure moment verification")
+    p_meas = sub.add_parser("measure-check", parents=common,
+                            help="measure moment verification")
     p_meas.add_argument("--moments", type=int, default=10)
     p_meas.add_argument("--tol", type=float, default=1e-6)
-    _add_common(p_meas)
 
     if defaults:
         mapped = {k.replace("-", "_"): v for k, v in defaults.items()}
         for p in (parser, p_state, p_metrics, p_auto, p_scan, p_meas):
             p.set_defaults(**mapped)
     return parser
+
+
+@functools.lru_cache(maxsize=None)
+def _default_parser() -> argparse.ArgumentParser:
+    # parse_args leaves a parser unchanged, so one no-config parser serves
+    # every call of main in the process; a --config run builds its own
+    return build_parser()
+
+
+@functools.lru_cache(maxsize=None)
+def _config_parser() -> argparse.ArgumentParser:
+    pre = argparse.ArgumentParser(add_help=False)
+    pre.add_argument("--config")
+    return pre
 
 
 def _alpha(args) -> complex:
@@ -231,10 +251,9 @@ def cmd_state(args) -> int:
         dist = metrics.photon_distribution(state)
         table = fock_io.ScanTable(
             columns=["n", "P_n"],
+            rows=[[n, p] for n, p in enumerate(dist.tolist())],
             provenance={"label": state.label},
         )
-        for n, p in enumerate(dist):
-            table.append([n, float(p)])
         fock_io.write_csv(table, out / "photon_distribution.csv")
     norm_const = _norm_constant(args, args.family)
     print(
@@ -292,6 +311,7 @@ def cmd_autocorr(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     table = fock_io.ScanTable(
         columns=["t", "A"],
+        rows=np.column_stack((t, a)).tolist(),
         provenance={
             "J": fock_io.format_real(args.J),
             "gamma": fock_io.format_real(args.gamma),
@@ -299,8 +319,6 @@ def cmd_autocorr(args) -> int:
             "omega": fock_io.format_real(args.omega),
         },
     )
-    for tv, av in zip(t, a):
-        table.append([float(tv), float(av)])
     if _wants(args, "csv"):
         fock_io.write_csv(table, out / "autocorr.csv")
     if _wants(args, "svg"):
@@ -402,9 +420,7 @@ _DISPATCH = {
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    pre = argparse.ArgumentParser(add_help=False)
-    pre.add_argument("--config")
-    known, _ = pre.parse_known_args(argv)
+    known, _ = _config_parser().parse_known_args(argv)
     defaults = None
     if known.config:
         try:
@@ -418,7 +434,7 @@ def main(argv=None) -> int:
         if not isinstance(defaults, dict):
             print("config must be a JSON object", file=sys.stderr)
             return EXIT_VALIDATION
-    parser = build_parser(defaults)
+    parser = build_parser(defaults) if defaults else _default_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -8,8 +8,11 @@ significant digits so that re-parsing reproduces the exact double.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
+
+import numpy as np
 
 from .errors import ValidationError
 from .states import FockState
@@ -38,9 +41,8 @@ class ScanTable:
     provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        for row in self.rows:
-            if len(row) != len(self.columns):
-                raise ValidationError("ragged row in ScanTable")
+        if set(map(len, self.rows)) - {len(self.columns)}:
+            raise ValidationError("ragged row in ScanTable")
 
     def append(self, row):
         if len(row) != len(self.columns):
@@ -64,12 +66,33 @@ def _format_cell(value) -> str:
     return format_real(value)
 
 
+# %-formats with the bytes of format_real and str, for the numeric cell types
+_CELL_FORMATS = {float: "%.17g", int: "%d"}
+
+
+def _row_format(rows) -> str | None:
+    """One %-format for every row if each column holds cells of a single
+    type in ``_CELL_FORMATS``, else None."""
+    specs = []
+    for column in zip(*rows):
+        kinds = set(map(type, column))
+        spec = _CELL_FORMATS.get(kinds.pop()) if len(kinds) == 1 else None
+        if spec is None:
+            return None
+        specs.append(spec)
+    return ",".join(specs)
+
+
 def write_csv(table: ScanTable, path) -> None:
     """RFC-4180-style CSV with LF endings and '# key=value' provenance lines."""
     lines = [f"# {k}={v}" for k, v in table.provenance.items()]
     lines.append(",".join(table.columns))
-    for row in table.rows:
-        lines.append(",".join(_format_cell(v) for v in row))
+    row_format = _row_format(table.rows)
+    if row_format is not None:
+        lines += [row_format % tuple(row) for row in table.rows]
+    else:
+        for row in table.rows:
+            lines.append(",".join(_format_cell(v) for v in row))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
@@ -129,18 +152,17 @@ def write_svg_lineplot(table: ScanTable, x_col: str, y_cols, path,
     ml, mr, mt, mb = 72.0, 18.0, 24.0, 52.0
     inner_w, inner_h = width - ml - mr, height - mt - mb
 
-    def _finite(values):
-        return [v for v in values if isinstance(v, float) and v == v and abs(v) != float("inf")]
-
-    xs = _finite(table.column(x_col))
-    ys = []
-    for col in y_cols:
-        ys.extend(_finite(table.column(col)))
-    if not xs or not ys:
-        xs = xs or [0.0, 1.0]
-        ys = ys or [0.0, 1.0]
-    x_lo, x_hi = min(xs), max(xs)
-    y_lo, y_hi = min(ys), max(ys)
+    # a cell that is not a float becomes NaN and is skipped like a NaN cell
+    values = {col: np.array([v if isinstance(v, float) else math.nan
+                             for v in table.column(col)], dtype=float)
+              for col in (x_col, *y_cols)}
+    xs = values[x_col][np.isfinite(values[x_col])]
+    ys = np.concatenate([values[col][np.isfinite(values[col])] for col in y_cols])
+    if not xs.size or not ys.size:
+        xs = xs if xs.size else np.array([0.0, 1.0])
+        ys = ys if ys.size else np.array([0.0, 1.0])
+    x_lo, x_hi = float(xs.min()), float(xs.max())
+    y_lo, y_hi = float(ys.min()), float(ys.max())
     if x_lo == x_hi:
         x_lo, x_hi = x_lo - 1.0, x_hi + 1.0
     if y_lo == y_hi:
@@ -193,20 +215,19 @@ def write_svg_lineplot(table: ScanTable, x_col: str, y_cols, path,
             f'text-anchor="middle" font-family="sans-serif">{style["title"]}</text>'
         )
 
-    x_vals = table.column(x_col)
+    x_vals = values[x_col]
+    px = sx(x_vals)
     for i, col in enumerate(y_cols):
         color = _PALETTE[i % len(_PALETTE)]
-        pts = []
-        for xv, yv in zip(x_vals, table.column(col)):
-            if not (isinstance(xv, float) and isinstance(yv, float)):
-                continue
-            if xv != xv or yv != yv:
-                continue
-            pts.append(f"{sx(xv):.2f},{sy(yv):.2f}")
-        if pts:
+        keep = ~(np.isnan(x_vals) | np.isnan(values[col]))
+        if keep.any():
+            # sx and sy on arrays run the scalar operations in the same order,
+            # and %.2f formats like the {:.2f} of the tick labels
+            pts = np.column_stack((px[keep], sy(values[col][keep]))).ravel().tolist()
+            points = " ".join(["%.2f,%.2f"] * (len(pts) // 2)) % tuple(pts)
             parts.append(
                 f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
-                f'points="{" ".join(pts)}"/>'
+                f'points="{points}"/>'
             )
         ly = mt + 16.0 + 16.0 * i
         parts.append(

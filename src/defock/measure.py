@@ -19,8 +19,6 @@ import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
-from scipy.integrate import quad
-
 from .deform import Deformation, log_rho
 from .errors import QuadratureError, ValidationError
 from .specfun import bessel_k_log, log_gamma
@@ -89,6 +87,10 @@ def _moment_integral(n: int, p: MeasureParams,
                      upper: float = math.inf) -> tuple[float, float]:
     # returns (value, quad's absolute error estimate)
     # substitute u = sqrt(t): int t^n Omega dt = int 2 u^(2n+1) Omega(u^2) du
+    # imported here: scipy.integrate is a third of the package's import time
+    # and no other subcommand needs it
+    from scipy.integrate import quad
+
     def integrand(u):
         if u <= 0.0:
             return 0.0

@@ -266,6 +266,49 @@ def test_closed_form_boundary_warning():
         linear_entropy_closed_form(2.0, 0.0, FIFTY, 6)
 
 
+def boundary_share_explicit(d_mat):
+    """sum |D^H D|^2 less the same sum with the anti-diagonal m + q = n - 1
+    of D zeroed, from a second full product; reference only."""
+    n = d_mat.shape[0]
+    total = float(np.sum(np.abs(d_mat.conj().T @ d_mat) ** 2))
+    d_inner = d_mat.copy()
+    idx = np.arange(n)
+    d_inner[idx, n - 1 - idx] = 0.0
+    return total, total - float(np.sum(np.abs(d_inner.conj().T @ d_inner) ** 2))
+
+
+def _closed_form_d(alpha, tau, bs, n_max):
+    coeffs = nc_coherent_coeffs(alpha, tau, n_max)
+    return beamsplitter._transform_matrix(coeffs, abs(bs.t), abs(bs.r)).T
+
+
+@pytest.mark.parametrize("n_max", [5, 64, 256])
+def test_boundary_share_matches_second_product(n_max):
+    for alpha, tau, bs in ((2.0, 0.0, FIFTY), (0.5 + 0.3j, 0.2, BeamSplitter(1.1, 0.6)),
+                           (3.5 - 1.0j, 0.3, BeamSplitter(0.4, 2.0))):
+        d_mat = _closed_form_d(alpha, tau, bs, n_max)
+        total, want = boundary_share_explicit(d_mat)
+        got = beamsplitter._boundary_share(d_mat, d_mat.conj().T @ d_mat)
+        assert abs(got - want) <= 1e-12 * total
+        if n_max == 5:  # the boundary is a sizeable share here
+            assert want > 1e-4 * total
+            assert abs(got - want) <= 1e-12 * abs(want)
+
+
+def test_closed_form_boundary_warning_where_second_product_warned():
+    fired = []
+    for n_max in (3, 4, 6, 8, 12, 16, 24, 32):
+        for alpha in (0.5, 1.0, 2.0, 3.0):
+            total, share = boundary_share_explicit(_closed_form_d(alpha, 0.1, FIFTY, n_max))
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                linear_entropy_closed_form(alpha, 0.1, FIFTY, n_max)
+            warned = any("boundary" in str(w.message) for w in caught)
+            assert warned == (abs(share) > 1e-12 * total), (n_max, alpha)
+            fired.append(warned)
+    assert any(fired) and not all(fired)
+
+
 def test_squeezed_entropy_saturates_in_tau():
     # at fixed zeta the entropy climbs with tau and decelerates toward a
     # plateau

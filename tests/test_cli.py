@@ -1,7 +1,11 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import defock
 from defock.cli import main
 from defock.fock_io import read_csv
 from defock.states import FockState
@@ -237,3 +241,47 @@ def test_format_filter(tmp_path):
     assert code == 0
     assert (tmp_path / "state.json").exists()
     assert not (tmp_path / "photon_distribution.csv").exists()
+
+
+def test_repeated_main_calls_identical_stdout(tmp_path, capsys):
+    argv = ["metrics", "--family", "nlcs", "--tau", "0.1", "--alpha-re", "0.8",
+            "--out", str(tmp_path)]
+    outputs = []
+    for _ in range(3):
+        assert run(argv) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] and outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+
+def test_config_defaults_do_not_leak_into_later_calls(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"alpha-re": 1.0, "nmax": 16, "family": "glauber"}))
+    plain = ["state", "--family", "glauber", "--out", str(tmp_path)]
+    assert run(plain) == 0
+    before = capsys.readouterr().out
+    assert run(["state", "--family", "glauber", "--config", str(cfg),
+                "--out", str(tmp_path)]) == 0
+    assert "n_max=16" in capsys.readouterr().out
+    assert run(plain) == 0
+    after = capsys.readouterr().out
+    # the defaults of the parser, not the config's alpha-re 1 and nmax 16
+    assert after == before
+    assert before == "family=glauber n_max=64 norm_const=1 tail_mass=0.000e+00 mean_n=0\n"
+
+
+def test_scipy_integrate_imported_only_by_measure_check(tmp_path):
+    src = str(Path(defock.__file__).resolve().parent.parent)
+    probe = (
+        "import sys\n"
+        f"sys.path.insert(0, {src!r})\n"
+        "import defock.cli\n"
+        "print('scipy.integrate' in sys.modules)\n"
+        f"code = defock.cli.main(['measure-check', '--tau', '1', '--moments', '1', "
+        f"'--out', {str(tmp_path)!r}])\n"
+        "print(code, 'scipy.integrate' in sys.modules)\n"
+    )
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, check=True, timeout=120)
+    lines = done.stdout.strip().splitlines()
+    assert lines[0] == "False"
+    assert lines[-1] == "0 True"

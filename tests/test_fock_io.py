@@ -120,3 +120,184 @@ def test_state_roundtrip_families():
         assert np.array_equal(back.amps, state.amps)
         assert back.tail_mass == state.tail_mass
         assert back.label == state.label
+
+
+# ------------------------------------------- per-cell writers, reference only
+
+def _format_cell_loop(value):
+    if isinstance(value, str):
+        if any(ch in value for ch in ",\n\r\""):
+            raise ValidationError(f"cell value needs quoting, unsupported: {value!r}")
+        return value
+    if isinstance(value, bool):
+        raise ValidationError("boolean cells are ambiguous; use 0/1")
+    if isinstance(value, int):
+        return str(value)
+    return format_real(value)
+
+
+def write_csv_loop(table, path):
+    """One _format_cell call per cell; reference only."""
+    lines = [f"# {k}={v}" for k, v in table.provenance.items()]
+    lines.append(",".join(table.columns))
+    for row in table.rows:
+        lines.append(",".join(_format_cell_loop(v) for v in row))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+
+
+def write_svg_lineplot_loop(table, x_col, y_cols, path, style=None):
+    """The plot with its range and polyline points built cell by cell;
+    reference only."""
+    from defock.fock_io import _PALETTE, _ticks
+
+    style = dict(style or {})
+    width, height = 640.0, 420.0
+    ml, mr, mt, mb = 72.0, 18.0, 24.0, 52.0
+    inner_w, inner_h = width - ml - mr, height - mt - mb
+
+    def _finite(values):
+        return [v for v in values if isinstance(v, float) and v == v and abs(v) != float("inf")]
+
+    xs = _finite(table.column(x_col))
+    ys = []
+    for col in y_cols:
+        ys.extend(_finite(table.column(col)))
+    if not xs or not ys:
+        xs = xs or [0.0, 1.0]
+        ys = ys or [0.0, 1.0]
+    x_lo, x_hi = min(xs), max(xs)
+    y_lo, y_hi = min(ys), max(ys)
+    if x_lo == x_hi:
+        x_lo, x_hi = x_lo - 1.0, x_hi + 1.0
+    if y_lo == y_hi:
+        y_lo, y_hi = y_lo - 1.0, y_hi + 1.0
+    pad = 0.04 * (y_hi - y_lo)
+    y_lo, y_hi = y_lo - pad, y_hi + pad
+
+    def sx(x):
+        return ml + (x - x_lo) / (x_hi - x_lo) * inner_w
+
+    def sy(y):
+        return mt + (1.0 - (y - y_lo) / (y_hi - y_lo)) * inner_h
+
+    parts = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+        f'width="{width:g}" height="{height:g}" '
+        f'viewBox="0 0 {width:g} {height:g}">',
+        f'<rect x="0" y="0" width="{width:g}" height="{height:g}" fill="white"/>',
+        f'<rect x="{ml:g}" y="{mt:g}" width="{inner_w:g}" height="{inner_h:g}" '
+        'fill="none" stroke="#444444" stroke-width="1"/>',
+    ]
+    for tx in _ticks(x_lo, x_hi):
+        px = sx(tx)
+        parts.append(
+            f'<line x1="{px:.2f}" y1="{mt + inner_h:.2f}" x2="{px:.2f}" '
+            f'y2="{mt + inner_h + 5:.2f}" stroke="#444444" stroke-width="1"/>'
+        )
+        parts.append(
+            f'<text x="{px:.2f}" y="{mt + inner_h + 18:.2f}" font-size="11" '
+            f'text-anchor="middle" font-family="sans-serif">{tx:.4g}</text>'
+        )
+    for ty in _ticks(y_lo, y_hi):
+        py = sy(ty)
+        parts.append(
+            f'<line x1="{ml - 5:.2f}" y1="{py:.2f}" x2="{ml:.2f}" y2="{py:.2f}" '
+            'stroke="#444444" stroke-width="1"/>'
+        )
+        parts.append(
+            f'<text x="{ml - 8:.2f}" y="{py + 4:.2f}" font-size="11" '
+            f'text-anchor="end" font-family="sans-serif">{ty:.4g}</text>'
+        )
+    parts.append(
+        f'<text x="{ml + inner_w / 2:.2f}" y="{height - 12:.2f}" font-size="12" '
+        f'text-anchor="middle" font-family="sans-serif">{style.get("xlabel", x_col)}</text>'
+    )
+    if "title" in style:
+        parts.append(
+            f'<text x="{ml + inner_w / 2:.2f}" y="{mt - 8:.2f}" font-size="13" '
+            f'text-anchor="middle" font-family="sans-serif">{style["title"]}</text>'
+        )
+    x_vals = table.column(x_col)
+    for i, col in enumerate(y_cols):
+        color = _PALETTE[i % len(_PALETTE)]
+        pts = []
+        for xv, yv in zip(x_vals, table.column(col)):
+            if not (isinstance(xv, float) and isinstance(yv, float)):
+                continue
+            if xv != xv or yv != yv:
+                continue
+            pts.append(f"{sx(xv):.2f},{sy(yv):.2f}")
+        if pts:
+            parts.append(
+                f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
+                f'points="{" ".join(pts)}"/>'
+            )
+        ly = mt + 16.0 + 16.0 * i
+        parts.append(
+            f'<line x1="{ml + inner_w - 150:.2f}" y1="{ly - 4:.2f}" '
+            f'x2="{ml + inner_w - 130:.2f}" y2="{ly - 4:.2f}" '
+            f'stroke="{color}" stroke-width="1.5"/>'
+        )
+        parts.append(
+            f'<text x="{ml + inner_w - 125:.2f}" y="{ly:.2f}" font-size="11" '
+            f'font-family="sans-serif">{col}</text>'
+        )
+    parts.append("</svg>")
+    path.write_text("\n".join(parts) + "\n", encoding="utf-8", newline="\n")
+
+
+def _mixed_tables():
+    """Tables whose cells mix int, str, float, nan, inf and -0.0, and
+    all-float and int/float tables that take the writers' fast paths."""
+    rng = np.random.default_rng(5)
+    specials = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e300, -1e-300]
+    mixed = ScanTable(columns=["x", "y", "n", "flag"], provenance={"who": "mixed"})
+    for i in range(200):
+        x = float(i) / 7.0 if i % 13 else specials[i % len(specials)]
+        y = float(rng.normal()) if i % 5 else specials[(3 * i) % len(specials)]
+        if i % 17 == 3:
+            y = i  # an int cell in a float column
+        if i % 23 == 4:
+            x = "gap"
+        mixed.append([x, y, i - 100, "" if i % 3 else "TruncationError"])
+    floats = ScanTable(columns=["t", "A"], provenance={"J": "1.5"})
+    for i in range(500):
+        floats.append([i * 0.37, float(np.cos(0.1 * i)) ** 2 if i % 41 else specials[i % 8]])
+    ints = ScanTable(columns=["n", "P_n"])
+    for n, p in enumerate(rng.random(64).tolist()):
+        ints.append([n, p if n != 7 else -0.0])
+    big = ScanTable(columns=["n", "v"], rows=[[2**70, 1.0], [-(2**63), np.float64(0.1)]])
+    return {"mixed": mixed, "floats": floats, "ints": ints, "big": big}
+
+
+@pytest.mark.parametrize("name", ["mixed", "floats", "ints", "big"])
+def test_csv_byte_equal_to_per_cell_writer(tmp_path, name):
+    table = _mixed_tables()[name]
+    write_csv(table, tmp_path / "new.csv")
+    write_csv_loop(table, tmp_path / "ref.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+@pytest.mark.parametrize("cell", [True, False, "has,comma", 'quote"d', "new\nline"])
+def test_csv_still_rejects_bool_and_quoted_cells(tmp_path, cell):
+    for rows in ([[1.0, cell]], [[1.0, 2.0], [3.0, cell]]):
+        table = ScanTable(columns=["a", "b"], rows=rows)
+        with pytest.raises(ValidationError):
+            write_csv(table, tmp_path / "bad.csv")
+
+
+@pytest.mark.parametrize("name, x_col, y_cols", [
+    ("mixed", "x", ["y"]),
+    ("mixed", "x", ["y", "n"]),
+    ("mixed", "n", ["x", "y"]),
+    ("floats", "t", ["A"]),
+    ("ints", "n", ["P_n"]),
+    ("big", "n", ["v"]),
+])
+def test_svg_byte_equal_to_per_point_loop(tmp_path, name, x_col, y_cols):
+    table = _mixed_tables()[name]
+    style = {"title": name, "xlabel": x_col}
+    write_svg_lineplot(table, x_col, y_cols, tmp_path / "new.svg", style=style)
+    write_svg_lineplot_loop(table, x_col, y_cols, tmp_path / "ref.svg", style=style)
+    assert (tmp_path / "new.svg").read_bytes() == (tmp_path / "ref.svg").read_bytes()

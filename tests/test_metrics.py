@@ -384,6 +384,54 @@ def test_fractional_revival_structure():
     assert heights[1.0 / 3.0] == pytest.approx(1.0 / 3.0, abs=0.05)
 
 
+def gk_autocorrelation_full(J, tau, omega, t):
+    """All 64 levels in one phase matrix; reference only."""
+    state = gk_coherent(J, 0.0, tau, 64, basis="bare")
+    p = np.abs(state.amps) ** 2
+    e = dimensionless_e(Deformation.perturbative_nc(tau), np.arange(state.n_max))
+    return np.abs(np.exp(-1j * omega * np.outer(t, e)) @ p) ** 2
+
+
+@pytest.mark.parametrize("J", [0.5, 1.5, 3.0])
+@pytest.mark.parametrize("tau", [0.1, 0.25, 0.4])
+def test_autocorrelation_level_cutoff_matches_all_levels(J, tau):
+    omega = 0.6
+    t_rev = 2.0 * math.pi / (omega * tau / 2.0)
+    t = np.linspace(0.0, 1.1 * t_rev, 10_000)
+    a = gk_autocorrelation(J, 0.0, tau, omega, t)
+    assert np.max(np.abs(a - gk_autocorrelation_full(J, tau, omega, t))) <= 1e-15
+    assert abs(a[0] - 1.0) <= 1e-15
+
+
+def detect_peaks_loop(t, a, min_height=0.2):
+    """One candidate point at a time; reference only."""
+    peaks = []
+    for i in range(1, len(t) - 1):
+        if a[i] >= min_height and a[i] > a[i - 1] and a[i] >= a[i + 1]:
+            denom = a[i - 1] - 2.0 * a[i] + a[i + 1]
+            shift = 0.0 if denom == 0 else 0.5 * (a[i - 1] - a[i + 1]) / denom
+            shift = float(np.clip(shift, -0.5, 0.5))
+            peaks.append(t[i] + shift * (t[i + 1] - t[i]))
+    return np.asarray(peaks)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_detect_peaks_equal_to_loop_on_plateaus(seed):
+    rng = np.random.default_rng(seed)
+    n = 400
+    t = np.sort(rng.uniform(0.0, 50.0, n))
+    # coarse levels repeat, so plateaus and flat-topped peaks occur
+    a = np.round(rng.uniform(0.0, 1.0, n) * 4) / 4
+    a[100:140] = 0.75
+    a[200:203] = [0.5, 1.0, 1.0]
+    for min_height in (0.0, 0.2, 0.8):
+        got = detect_peaks(t, a, min_height)
+        want = detect_peaks_loop(t, a, min_height)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+    assert detect_peaks(t, np.zeros(n)).shape == (0,)
+
+
 def test_detect_peaks_quadratic_refinement():
     t = np.linspace(0.0, 10.0, 501)
     a = np.cos(t - 3.123) ** 2
