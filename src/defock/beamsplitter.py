@@ -16,21 +16,14 @@ import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
 from .errors import DefockError, ValidationError
 from .fock_io import ScanTable
 from .specfun import log_factorial_table
-from .states import (
-    FockState,
-    _check_n_max,
-    glauber,
-    ho_squeezed,
-    nc_coherent_coeffs,
-    nc_squeezed,
-    nlcs,
-)
+from .states import FAMILIES, FockState, _check_n_max, nc_coherent_coeffs
 
 __all__ = [
     "BeamSplitter",
@@ -250,23 +243,15 @@ def linear_entropy_closed_form(alpha: complex, tau: float, bs: BeamSplitter,
 # grid scans
 # ---------------------------------------------------------------------------
 
-_SCAN_FAMILIES = ("nlcs", "nc_squeezed", "ho_squeezed", "glauber")
-
-
 def _scan_point(args):
     family, alpha, tau, zeta, theta, phi, n_max = args
     bs = BeamSplitter(theta=theta, phi=phi)
     s_closed = float("nan")
+    p = SimpleNamespace(alpha=alpha, tau=tau, zeta=zeta, basis="perturbed")
     try:
+        state = FAMILIES[family].build(p, n_max)
         if family == "nlcs":
-            state = nlcs(alpha, tau, n_max)
             s_closed = linear_entropy_closed_form(alpha, tau, bs, state.n_max)
-        elif family == "nc_squeezed":
-            state = nc_squeezed(alpha, zeta, tau, n_max)
-        elif family == "ho_squeezed":
-            state = ho_squeezed(alpha, zeta, n_max)
-        else:
-            state = glauber(alpha, n_max)
         s_direct = linear_entropy(
             partial_trace(apply_beamsplitter(state, bs), "c", validate=False)
         )
@@ -283,12 +268,14 @@ def entropy_scan(family: str, alpha_grid, tau_grid=None, *,
                  n_max: int = 64, workers: int = 1) -> ScanTable:
     """Linear entropy over an (alpha, tau) grid.
 
-    Every grid point is evaluated independently; failures are recorded
-    in the ``flag`` column and never abort the scan.  For the ``nlcs``
-    family the closed-form value is computed alongside the direct one.
-    ``workers`` is clamped to the number of CPUs.
+    ``family`` is a registry family whose parameters fit the grid, spelled
+    with '_' for '-'.  Every grid point is evaluated independently;
+    failures are recorded in the ``flag`` column and never abort the scan.
+    For the ``nlcs`` family the closed-form value is computed alongside the
+    direct one.  ``workers`` is clamped to the number of CPUs.
     """
-    if family not in _SCAN_FAMILIES:
+    names = {name.replace("-", "_"): name for name, spec in FAMILIES.items() if spec.scannable}
+    if family not in names:
         raise ValidationError(f"unknown scan family {family!r}")
     if workers < 1:
         raise ValidationError(f"workers must be >= 1, got {workers}")
@@ -300,7 +287,7 @@ def entropy_scan(family: str, alpha_grid, tau_grid=None, *,
         raise ValidationError("scan grids must be non-empty")
     bs = bs or BeamSplitter.fifty_fifty()
     points = [
-        (family, a, t, float(zeta), bs.theta, bs.phi, int(n_max))
+        (names[family], a, t, float(zeta), bs.theta, bs.phi, int(n_max))
         for t in taus
         for a in alphas
     ]

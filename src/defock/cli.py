@@ -35,28 +35,9 @@ EXIT_VALIDATION = 2
 EXIT_TRUNCATION = 3
 EXIT_TOLERANCE = 4
 
-_FAMILIES = (
-    "glauber",
-    "nlcs",
-    "q-coherent",
-    "gk",
-    "nc-squeezed",
-    "ho-squeezed",
-    "cat",
-    "pacs",
-)
-
-_FAMILY_PARAMS = {
-    # family -> (needs tau, needs q)
-    "glauber": (False, False),
-    "nlcs": (True, False),
-    "q-coherent": (False, True),
-    "gk": (True, False),
-    "nc-squeezed": (True, False),
-    "ho-squeezed": (False, False),
-    "cat": (False, True),
-    "pacs": (False, True),
-}
+# a family of one deformation kind contradicts the other kind and the
+# option that sets its parameter
+_CONTRADICTS = {"nc": ("q", "q"), "q": ("nc", "tau")}
 
 
 def _common_options() -> argparse.ArgumentParser:
@@ -104,10 +85,10 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
 
     p_state = sub.add_parser("state", parents=common,
                              help="construct a state, dump JSON + CSV")
-    p_state.add_argument("--family", choices=_FAMILIES, required=True)
+    p_state.add_argument("--family", choices=tuple(states.FAMILIES), required=True)
 
     p_metrics = sub.add_parser("metrics", parents=common, help="nonclassicality report")
-    p_metrics.add_argument("--family", choices=_FAMILIES, required=True)
+    p_metrics.add_argument("--family", choices=tuple(states.FAMILIES), required=True)
     p_metrics.add_argument("--number", choices=("bare", "deformed"), default="bare")
 
     p_auto = sub.add_parser("autocorr", parents=common,
@@ -120,7 +101,7 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
                             help="beam-splitter entropy scan")
     p_scan.add_argument(
         "--family",
-        choices=("nlcs", "nc-squeezed", "ho-squeezed", "glauber"),
+        choices=[name for name, spec in states.FAMILIES.items() if spec.scannable],
         required=True,
     )
     p_scan.add_argument("--alphas", help="comma list of alpha values")
@@ -154,87 +135,28 @@ def _config_parser() -> argparse.ArgumentParser:
     return pre
 
 
-def _alpha(args) -> complex:
-    return complex(args.alpha_re, args.alpha_im)
-
-
-def _require(args, attr, family):
-    value = getattr(args, attr)
-    if value is None:
-        raise ValidationError(f"--{attr.replace('_', '-')} is required for {family}")
-    return value
-
-
-def _reject_contradictions(args, family):
-    needs_tau, needs_q = _FAMILY_PARAMS[family]
-    if needs_tau and args.q is not None:
-        raise ValidationError(f"--q contradicts family {family}")
-    if needs_q and args.tau is not None:
-        raise ValidationError(f"--tau contradicts family {family}")
-    if args.deformation == "nc" and needs_q:
-        raise ValidationError(f"--deformation nc contradicts family {family}")
-    if args.deformation == "q" and needs_tau:
-        raise ValidationError(f"--deformation q contradicts family {family}")
-
-
-def _build_state(args, family):
-    _reject_contradictions(args, family)
-    alpha = _alpha(args)
-    n_max = args.nmax
-    if family == "glauber":
-        return states.glauber(alpha, n_max), Deformation.harmonic()
-    if family == "nlcs":
-        tau = _require(args, "tau", family)
-        d = Deformation.perturbative_nc(tau)
-        return states.nlcs(alpha, tau, n_max, basis=args.basis), d
-    if family == "q-coherent":
-        q = _require(args, "q", family)
-        return states.q_coherent(alpha, q, n_max), Deformation.q_deformed(q)
-    if family == "gk":
-        tau = _require(args, "tau", family)
-        j_val = _require(args, "J", family)
-        d = Deformation.perturbative_nc(tau)
-        return (
-            states.gk_coherent(j_val, args.gamma, tau, n_max, basis=args.basis),
-            d,
-        )
-    if family == "nc-squeezed":
-        tau = _require(args, "tau", family)
-        d = Deformation.perturbative_nc(tau)
-        return (
-            states.nc_squeezed(alpha, args.zeta, tau, n_max, basis=args.basis),
-            d,
-        )
-    if family == "ho-squeezed":
-        return states.ho_squeezed(alpha, args.zeta, n_max), Deformation.harmonic()
-    if family == "cat":
-        q = _require(args, "q", family)
-        parity = _require(args, "parity", family)
-        return states.cat_q(alpha, q, parity, n_max), Deformation.q_deformed(q)
-    q = _require(args, "q", family)
-    return states.pacs_q(alpha, q, args.m, n_max), Deformation.q_deformed(q)
-
-
-def _norm_constant(args, family) -> float:
-    alpha = _alpha(args)
-    lam = abs(alpha) ** 2
-    if family == "glauber":
-        return math.exp(lam / 2.0)
-    if family == "nlcs":
-        return states.nlcs_normalization(alpha, args.tau)
-    if family == "q-coherent":
-        return math.sqrt(states.q_exponential(lam, args.q))
-    if family == "gk":
-        return states.gk_normalization(args.J, args.tau)
-    if family == "nc-squeezed":
-        d = Deformation.perturbative_nc(args.tau)
-        return states.squeezed_normalization(alpha, args.zeta, d, args.nmax)
-    if family == "ho-squeezed":
-        d = Deformation.harmonic()
-        return states.squeezed_normalization(alpha, args.zeta, d, args.nmax)
-    if family == "cat":
-        return math.sqrt(states.cat_norm_sq(alpha, args.q, args.parity))
-    return math.sqrt(states.pacs_norm_sq(alpha, args.q, args.m))
+def _family_state(args):
+    """Check the options against the family's contract, then build the
+    state and its deformation.  Sets ``args.alpha``, which the registry's
+    callables read."""
+    family = args.family
+    spec = states.FAMILIES[family]
+    if spec.kind in _CONTRADICTS:
+        other, option = _CONTRADICTS[spec.kind]
+        if getattr(args, option) is not None:
+            raise ValidationError(f"--{option} contradicts family {family}")
+        if args.deformation == other:
+            raise ValidationError(f"--deformation {other} contradicts family {family}")
+    for option in spec.requires:
+        if getattr(args, option) is None:
+            raise ValidationError(f"--{option} is required for {family}")
+    args.alpha = complex(args.alpha_re, args.alpha_im)
+    if spec.kind == "nc":
+        # before the state: a negative tau is reported in the deformation's words
+        deformation = Deformation.perturbative_nc(args.tau)
+        return spec.build(args, args.nmax), deformation
+    state = spec.build(args, args.nmax)
+    return state, Deformation.q_deformed(args.q) if spec.kind == "q" else Deformation.harmonic()
 
 
 def _wants(args, kind) -> bool:
@@ -242,7 +164,7 @@ def _wants(args, kind) -> bool:
 
 
 def cmd_state(args) -> int:
-    state, _ = _build_state(args, args.family)
+    state, _ = _family_state(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if _wants(args, "json"):
@@ -255,7 +177,7 @@ def cmd_state(args) -> int:
             provenance={"label": state.label},
         )
         fock_io.write_csv(table, out / "photon_distribution.csv")
-    norm_const = _norm_constant(args, args.family)
+    norm_const = states.FAMILIES[args.family].norm(args, args.nmax)
     print(
         f"family={args.family} n_max={state.n_max} "
         f"norm_const={fock_io.format_real(norm_const)} "
@@ -265,7 +187,7 @@ def cmd_state(args) -> int:
 
 
 def cmd_metrics(args) -> int:
-    state, deformation = _build_state(args, args.family)
+    state, deformation = _family_state(args)
     report = metrics.nonclassicality_report(
         state, deformation, number_convention=args.number
     )
@@ -351,7 +273,7 @@ def cmd_entropy_scan(args) -> int:
     if not alphas:
         raise ValidationError("alpha grid is empty")
     taus = _parse_grid(args.taus) if args.taus else None
-    if family in ("nlcs", "nc_squeezed") and not taus:
+    if "tau" in states.FAMILIES[args.family].requires and not taus:
         raise ValidationError(f"--taus is required for family {args.family}")
     bs = bsm.BeamSplitter(theta=args.theta, phi=args.phi)
     table = bsm.entropy_scan(

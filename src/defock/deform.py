@@ -30,14 +30,10 @@ __all__ = [
     "Deformation",
     "SpectrumCoeffs",
     "f_squared",
-    "f_factorial_squared",
-    "log_f_factorial_squared",
-    "rho",
     "log_rho",
     "log_rho_table",
     "log_f_factorial_table",
     "dimensionless_e",
-    "energy_level",
 ]
 
 _KINDS = ("harmonic", "nc", "q")
@@ -120,28 +116,11 @@ def f_squared(d: Deformation, n):
     return float(out) if out.ndim == 0 else out
 
 
-def log_f_factorial_squared(d: Deformation, n: int) -> float:
-    """log f^2(n)! with the product convention f^2(n)! = prod_{k=1..n} f^2(k)."""
-    if n < 0:
-        raise ValidationError("log_f_factorial_squared needs n >= 0")
-    return float(log_f_factorial_table(d, n + 1)[n])
-
-
-def f_factorial_squared(d: Deformation, n: int) -> float:
-    """f^2(n)!; equals (tau/2)^n (2 + 2/tau)^(n) for the nc kernel."""
-    return math.exp(log_f_factorial_squared(d, n))
-
-
 def log_rho(d: Deformation, n: int) -> float:
     """log rho_n where rho_n = n! f^2(n)! (equivalently [n]_q! when kind='q')."""
     if n < 0:
         raise ValidationError("log_rho needs n >= 0")
     return float(log_rho_table(d, n + 1)[n])
-
-
-def rho(d: Deformation, n: int) -> float:
-    """Moment sequence rho_n of the active deformation; rho_0 = 1."""
-    return math.exp(log_rho(d, n))
 
 
 @lru_cache(maxsize=128)
@@ -175,10 +154,3 @@ def dimensionless_e(d: Deformation, n):
     n_arr = np.asarray(n, dtype=float)
     out = n_arr * np.asarray(f_squared(d, n))
     return float(out) if np.isscalar(n) or n_arr.ndim == 0 else out
-
-
-def energy_level(d: Deformation, n: int, omega: float, hbar: float = 1.0) -> float:
-    """E_n = hbar omega e_n (ground level shifted to zero)."""
-    if omega <= 0 or hbar <= 0:
-        raise ValidationError("energy_level needs omega > 0 and hbar > 0")
-    return hbar * omega * dimensionless_e(d, n)

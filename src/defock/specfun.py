@@ -1,13 +1,12 @@
 """Special-function kernels for the state constructors and the measure check.
 
-q-brackets and q-factorials, rising factorials, physicists' Hermite
-polynomials and terminating Gauss hypergeometric sums are written out
+q-brackets and terminating Gauss hypergeometric sums are written out
 here.  The hot kernels are library-backed: ``log_gamma`` is the C
 library's ``lgamma`` (via ``math``), ``log_factorial_table`` is one
 cached ``scipy.special.gammaln`` table that every factorial-weighted
-series reads, and ``bessel_k_log`` / ``bessel_k`` use
-``scipy.special.kve`` (Amos' algorithm), with an ``mpmath`` fallback
-where the scaled value leaves the double range.
+series reads, and ``bessel_k_log`` uses ``scipy.special.kve`` (Amos'
+algorithm), with an ``mpmath`` fallback where the scaled value leaves
+the double range.
 
 All functions are pure and reentrant.
 """
@@ -25,18 +24,11 @@ from .errors import ValidationError
 
 __all__ = [
     "q_bracket",
-    "q_factorial",
-    "q_log_factorial",
-    "pochhammer",
-    "hermite",
     "gauss_2f1_terminating",
-    "bessel_k",
     "bessel_k_log",
     "log_gamma",
     "log_factorial_table",
 ]
-
-_LOG_DBL_MAX = math.log(np.finfo(float).max)
 
 
 def q_bracket(n: int, q: float) -> float:
@@ -61,50 +53,6 @@ def q_bracket(n: int, q: float) -> float:
         return 0.0
     lq = math.log(q)
     return math.expm1(2.0 * n * lq) / math.expm1(2.0 * lq)
-
-
-def q_factorial(n: int, q: float) -> float:
-    """q-factorial [n]! = prod_{k=1..n} [k], with [0]! = 1."""
-    return math.exp(q_log_factorial(n, q))
-
-
-def q_log_factorial(n: int, q: float) -> float:
-    """log [n]!; the log-domain variant keeps large-n series stable."""
-    if n < 0:
-        raise ValidationError(f"q_log_factorial needs n >= 0, got {n}")
-    if not 0.0 < q <= 1.0:
-        raise ValidationError(f"q_log_factorial needs 0 < q <= 1, got {q}")
-    total = 0.0
-    for k in range(1, n + 1):
-        total += math.log(q_bracket(k, q))
-    return total
-
-
-def pochhammer(x: float, n: int) -> float:
-    """Rising factorial x^(n) = x (x+1) ... (x+n-1); empty product is 1."""
-    if n < 0:
-        raise ValidationError(f"pochhammer needs n >= 0, got {n}")
-    out = 1.0
-    for k in range(n):
-        out *= x + k
-    return out
-
-
-def hermite(n: int, x):
-    """Physicists' Hermite polynomial H_n(x) by the forward recurrence.
-
-    H_{n+1} = 2 x H_n - 2 n H_{n-1}.  Accepts real or complex x; no
-    internal rescaling, so very large n at large |x| can overflow.
-    """
-    if n < 0:
-        raise ValidationError(f"hermite needs n >= 0, got {n}")
-    h_prev = 1.0
-    if n == 0:
-        return h_prev if not isinstance(x, complex) else complex(h_prev)
-    h_cur = 2 * x
-    for k in range(1, n):
-        h_prev, h_cur = h_cur, 2 * x * h_cur - 2 * k * h_prev
-    return h_cur
 
 
 def gauss_2f1_terminating(n: int, b: complex, c: float, z: float) -> complex:
@@ -183,17 +131,3 @@ def bessel_k_log(nu: float, x: float) -> float:
     if 0.0 < scaled < math.inf:
         return math.log(scaled) - x
     return float(mp.log(mp.besselk(nu, x)))
-
-
-def bessel_k(nu: float, x: float) -> float:
-    """Modified Bessel function K_nu(x), x > 0.
-
-    Raises ``OverflowError`` instead of silently returning ``inf`` when
-    the value exceeds the double range (small x at large order).
-    """
-    logk = bessel_k_log(nu, x)
-    if logk > _LOG_DBL_MAX:
-        raise OverflowError(
-            f"bessel_k({nu}, {x}) exceeds the double range (ln K = {logk:.1f})"
-        )
-    return math.exp(logk)

@@ -19,6 +19,10 @@ Two representations are available for the minimal-length families
 
 The two agree at zeroth order in the deformation strength and are
 related by an explicit banded dressing.
+
+``FAMILIES`` maps each state family of the command line to its
+constructor, its deformation kind, its required options and its
+normalization constant.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,6 +74,8 @@ __all__ = [
     "cat_norm_sq",
     "pacs_q",
     "pacs_norm_sq",
+    "Family",
+    "FAMILIES",
 ]
 
 DEFAULT_N_MAX = 64
@@ -212,17 +219,25 @@ def _check_n_max(n_max):
         raise ValidationError(f"n_max must lie in 1 .. {MAX_N_MAX}, got {n_max}")
 
 
-def _build_truncated(raw_builder, n_max, tail_threshold, label):
+def _build_truncated(logs, n_max, tail_threshold, label, *, tau=None,
+                     basis="bare"):
     """Auto-doubling driver shared by all series constructors.
 
-    ``raw_builder(N)`` must return ``(amps_unnormalized, log_weights)``
-    where the weight series extends at least ``_TAIL_PAD`` past N.
+    ``logs(w)`` must return ``(log|c_n|, phase_n)`` of the raw series for
+    at least ``w`` levels.  The minimal-length families pass their ``tau``:
+    their series keeps 4 guard levels, which ``basis="perturbed"`` dresses
+    away.  The tail mass is estimated from ``_TAIL_PAD`` further levels,
+    and the truncation doubles from ``n_max`` until it is below
+    ``tail_threshold``.
     """
     _check_n_max(n_max)
+    guard = 0 if tau is None else 4
     n = int(n_max)
     while True:
-        amps, log_w = raw_builder(n)
-        tail = _tail_mass(log_w, n)
+        log_abs, phase = logs(n + guard + _TAIL_PAD)
+        u = CoeffTable(log_abs[:n + guard], phase[:n + guard]).scaled_values()
+        amps = _phi_dress(u, tau) if basis == "perturbed" else u[:n]
+        tail = _tail_mass(2.0 * log_abs, n)
         if tail <= tail_threshold:
             norm = np.linalg.norm(amps)
             if norm == 0.0:
@@ -289,15 +304,10 @@ def glauber(alpha: complex, n_max: int = DEFAULT_N_MAX, *,
     (up to ``MAX_N_MAX``) cannot hold the Poisson weight of |alpha|^2.
     """
     alpha = complex(alpha)
-    label = f"glauber(alpha={alpha}, n_max={n_max})"
-
-    def build(n):
-        w = n + _TAIL_PAD
-        log_abs, phase = _power_series_logs(alpha, 0.5 * log_factorial_table(w))
-        table = CoeffTable(log_abs[:n], phase[:n])
-        return table.scaled_values(), 2.0 * log_abs
-
-    return _build_truncated(build, n_max, tail_threshold, label)
+    return _build_truncated(
+        lambda w: _power_series_logs(alpha, 0.5 * log_factorial_table(w)),
+        n_max, tail_threshold, f"glauber(alpha={alpha}, n_max={n_max})",
+    )
 
 
 def phi_eigenstate(n: int, tau: float, n_max: int = DEFAULT_N_MAX) -> FockState:
@@ -345,16 +355,12 @@ def nlcs(alpha: complex, tau: float, n_max: int = DEFAULT_N_MAX, *,
     alpha = complex(alpha)
     if tau < 0:
         raise ValidationError("tau must be >= 0")
-    label = f"nlcs(alpha={alpha}, tau={tau}, basis={basis}, n_max={n_max})"
-
-    def build(n):
-        w = n + 4 + _TAIL_PAD
-        log_abs, phase = _power_series_logs(alpha, _nc_log_denominators(tau, w))
-        u = CoeffTable(log_abs[:n + 4], phase[:n + 4]).scaled_values()
-        amps = _phi_dress(u, tau) if basis == "perturbed" else u[:n]
-        return amps, 2.0 * log_abs
-
-    return _build_truncated(build, n_max, tail_threshold, label)
+    return _build_truncated(
+        lambda w: _power_series_logs(alpha, _nc_log_denominators(tau, w)),
+        n_max, tail_threshold,
+        f"nlcs(alpha={alpha}, tau={tau}, basis={basis}, n_max={n_max})",
+        tau=tau, basis=basis,
+    )
 
 
 def nc_coherent_coeffs(alpha: complex, tau: float, n_max: int) -> np.ndarray:
@@ -364,10 +370,8 @@ def nc_coherent_coeffs(alpha: complex, tau: float, n_max: int) -> np.ndarray:
     entropy sum so the two routes truncate identically.  Values carry a
     common (irrelevant) scale factor.
     """
-    alpha = complex(alpha)
-    log_abs, phase = _power_series_logs(alpha, _nc_log_denominators(tau, n_max + 4))
-    u = CoeffTable(log_abs, phase).scaled_values()
-    return _phi_dress(u, tau)
+    logs = _power_series_logs(complex(alpha), _nc_log_denominators(tau, n_max + 4))
+    return _phi_dress(CoeffTable(*logs).scaled_values(), tau)
 
 
 def nlcs_normalization(alpha: complex, tau: float) -> float:
@@ -378,14 +382,19 @@ def nlcs_normalization(alpha: complex, tau: float) -> float:
     lam = abs(complex(alpha)) ** 2
     if lam == 0.0:
         return 1.0
+    return _rho_series_norm(math.log(lam), tau, "nlcs")
+
+
+def _rho_series_norm(log_x: float, tau: float, family: str) -> float:
+    """sqrt(sum x^n / rho_n) over the minimal-length moments rho_n = n! f^2(n)!,
+    doubling the summed length until its last term is below e^-60 of the largest."""
     n = 128
     while True:
-        log_denom = _nc_log_denominators(tau, n)
-        log_w = np.arange(n) * math.log(lam) - 2.0 * log_denom
+        log_w = np.arange(n) * log_x - 2.0 * _nc_log_denominators(tau, n)
         if log_w[-1] < log_w.max() - 60.0:
             return math.exp(0.5 * _logsumexp(log_w))
         if n >= 65536:
-            raise DivergenceError("nlcs normalization series did not converge")
+            raise DivergenceError(f"{family} normalization series did not converge")
         n *= 2
 
 
@@ -426,33 +435,15 @@ def q_coherent(alpha: complex, q: float, n_max: int = DEFAULT_N_MAX, *,
     alpha = complex(alpha)
     d = Deformation.q_deformed(q)
     _check_q_radius(alpha, q, "q_coherent")
-    label = f"q_coherent(alpha={alpha}, q={q}, n_max={n_max})"
-
-    def build(n):
-        w = n + _TAIL_PAD
-        log_abs, phase = _power_series_logs(alpha, 0.5 * log_rho_table(d, w))
-        table = CoeffTable(log_abs[:n], phase[:n])
-        return table.scaled_values(), 2.0 * log_abs
-
-    return _build_truncated(build, n_max, tail_threshold, label)
+    return _build_truncated(
+        lambda w: _power_series_logs(alpha, 0.5 * log_rho_table(d, w)),
+        n_max, tail_threshold, f"q_coherent(alpha={alpha}, q={q}, n_max={n_max})",
+    )
 
 
 # ---------------------------------------------------------------------------
 # Gazeau-Klauder states
 # ---------------------------------------------------------------------------
-
-def _gk_logs(J: float, gamma: float, tau: float, nmax: int):
-    d = Deformation.perturbative_nc(tau)
-    n = np.arange(nmax, dtype=float)
-    e = dimensionless_e(d, np.arange(nmax))
-    if J == 0.0:
-        log_abs = np.full(nmax, -math.inf)
-        log_abs[0] = 0.0
-    else:
-        log_abs = 0.5 * n * math.log(J) - 0.5 * log_rho_table(d, nmax)
-    phase = np.exp(-1j * gamma * e)
-    return log_abs, phase
-
 
 def gk_coherent(J: float, gamma: float, tau: float,
                 n_max: int = DEFAULT_N_MAX, *, basis: str = "perturbed",
@@ -465,16 +456,20 @@ def gk_coherent(J: float, gamma: float, tau: float,
     if J < 0:
         raise ValidationError("J must be >= 0")
     _check_basis(basis)
-    label = f"gk_coherent(J={J}, gamma={gamma}, tau={tau}, basis={basis})"
 
-    def build(n):
-        w = n + 4 + _TAIL_PAD
-        log_abs, phase = _gk_logs(J, gamma, tau, w)
-        u = CoeffTable(log_abs[:n + 4], phase[:n + 4]).scaled_values()
-        amps = _phi_dress(u, tau) if basis == "perturbed" else u[:n]
-        return amps, 2.0 * log_abs
+    def logs(w):
+        d = Deformation.perturbative_nc(tau)
+        n = np.arange(w)
+        phase = np.exp(-1j * gamma * dimensionless_e(d, n))
+        if J == 0.0:
+            return np.where(n == 0, 0.0, -math.inf), phase
+        return 0.5 * n * math.log(J) - 0.5 * log_rho_table(d, w), phase
 
-    return _build_truncated(build, n_max, tail_threshold, label)
+    return _build_truncated(
+        logs, n_max, tail_threshold,
+        f"gk_coherent(J={J}, gamma={gamma}, tau={tau}, basis={basis})",
+        tau=tau, basis=basis,
+    )
 
 
 def gk_normalization(J: float, tau: float) -> float:
@@ -483,15 +478,7 @@ def gk_normalization(J: float, tau: float) -> float:
         raise ValidationError("J must be >= 0")
     if J == 0.0:
         return 1.0
-    n = 128
-    while True:
-        log_abs, _ = _gk_logs(J, 0.0, tau, n)
-        log_w = 2.0 * log_abs
-        if log_w[-1] < log_w.max() - 60.0:
-            return math.exp(0.5 * _logsumexp(log_w))
-        n *= 2
-        if n > 65536:
-            raise DivergenceError("gk normalization series did not converge")
+    return _rho_series_norm(math.log(J), tau, "gk")
 
 
 # ---------------------------------------------------------------------------
@@ -608,19 +595,17 @@ def nc_squeezed(alpha: complex, zeta: complex, tau: float,
     if tau < 0:
         raise ValidationError("tau must be >= 0")
     d = Deformation.perturbative_nc(tau)
-    label = (
-        f"nc_squeezed(alpha={alpha}, zeta={zeta}, tau={tau}, "
-        f"basis={basis}, n_max={n_max})"
-    )
 
-    def build(n):
-        w = n + 4 + _TAIL_PAD
+    def logs(w):
         tab = _squeezed_state_logs(alpha, zeta, d, w)
-        u = CoeffTable(tab.log_abs[:n + 4], tab.phase[:n + 4]).scaled_values()
-        amps = _phi_dress(u, tau) if basis == "perturbed" else u[:n]
-        return amps, 2.0 * tab.log_abs
+        return tab.log_abs, tab.phase
 
-    return _build_truncated(build, n_max, tail_threshold, label)
+    return _build_truncated(
+        logs, n_max, tail_threshold,
+        f"nc_squeezed(alpha={alpha}, zeta={zeta}, tau={tau}, "
+        f"basis={basis}, n_max={n_max})",
+        tau=tau, basis=basis,
+    )
 
 
 def ho_squeezed(alpha: complex, zeta: complex,
@@ -635,12 +620,10 @@ def ho_squeezed(alpha: complex, zeta: complex,
     zeta = complex(zeta)
     if zeta == 0:
         return glauber(alpha, n_max, tail_threshold=tail_threshold)
-    label = f"ho_squeezed(alpha={alpha}, zeta={zeta}, n_max={n_max})"
     x = alpha / cmath.sqrt(2.0 * zeta)
     log_half_zeta = cmath.log(zeta / 2.0)
 
-    def build(n):
-        w = n + _TAIL_PAD
+    def logs(w):
         log_abs = np.empty(w)
         phase = np.empty(w, dtype=complex)
         h_prev, h_cur = 1.0 + 0.0j, 2.0 * x
@@ -660,10 +643,12 @@ def ho_squeezed(alpha: complex, zeta: complex,
             log_mag = (math.log(mag) + offset) if mag > 0 else -math.inf
             log_abs[k] = 0.5 * k * log_half_zeta.real + log_mag - lg_half[k]
             phase[k] = cmath.exp(1j * 0.5 * k * log_half_zeta.imag) * phase_h
-        table = CoeffTable(log_abs[:n], phase[:n])
-        return table.scaled_values(), 2.0 * log_abs
+        return log_abs, phase
 
-    return _build_truncated(build, n_max, tail_threshold, label)
+    return _build_truncated(
+        logs, n_max, tail_threshold,
+        f"ho_squeezed(alpha={alpha}, zeta={zeta}, n_max={n_max})",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -682,18 +667,17 @@ def cat_q(alpha: complex, q: float, parity: str,
     d = Deformation.q_deformed(q)
     _check_q_radius(alpha, q, "cat_q")
     keep = 0 if parity == "even" else 1
-    label = f"cat_q(alpha={alpha}, q={q}, parity={parity}, n_max={n_max})"
 
-    def build(n):
-        w = n + _TAIL_PAD
+    def logs(w):
         log_abs, phase = _power_series_logs(alpha, 0.5 * log_rho_table(d, w))
-        mask = (np.arange(w) % 2) != keep
         log_abs = log_abs.copy()
-        log_abs[mask] = -math.inf
-        table = CoeffTable(log_abs[:n], phase[:n])
-        return table.scaled_values(), 2.0 * log_abs
+        log_abs[(np.arange(w) % 2) != keep] = -math.inf
+        return log_abs, phase
 
-    return _build_truncated(build, n_max, tail_threshold, label)
+    return _build_truncated(
+        logs, n_max, tail_threshold,
+        f"cat_q(alpha={alpha}, q={q}, parity={parity}, n_max={n_max})",
+    )
 
 
 def cat_norm_sq(alpha: complex, q: float, parity: str) -> float:
@@ -724,12 +708,11 @@ def pacs_q(alpha: complex, q: float, m: int,
     alpha = complex(alpha)
     d = Deformation.q_deformed(q)
     _check_q_radius(alpha, q, "pacs_q")
-    label = f"pacs_q(alpha={alpha}, q={q}, m={m}, n_max={n_max})"
     arg = cmath.phase(alpha) if alpha != 0 else 0.0
     mag = abs(alpha)
 
-    def build(n):
-        w = max(n, m + 2) + _TAIL_PAD
+    def logs(w):
+        w = max(w, m + 2 + _TAIL_PAD)
         log_qf = log_rho_table(d, w)  # log [k]_q!
         log_abs = np.full(w, -math.inf)
         phase = np.ones(w, dtype=complex)
@@ -740,10 +723,11 @@ def pacs_q(alpha: complex, q: float, m: int,
         else:
             log_abs[ks] = ns * math.log(mag) + 0.5 * log_qf[ks] - log_qf[ks - m]
             phase[ks] = np.exp(1j * arg * ns)
-        table = CoeffTable(log_abs[:n], phase[:n])
-        return table.scaled_values(), 2.0 * log_abs
+        return log_abs, phase
 
-    return _build_truncated(build, n_max, tail_threshold, label)
+    return _build_truncated(
+        logs, n_max, tail_threshold, f"pacs_q(alpha={alpha}, q={q}, m={m}, n_max={n_max})"
+    )
 
 
 def pacs_norm_sq(alpha: complex, q: float, m: int) -> float:
@@ -768,3 +752,52 @@ def pacs_norm_sq(alpha: complex, q: float, m: int) -> float:
             total += lam_pow * term
             break
     return total / q_exponential(lam, q)
+
+
+# ---------------------------------------------------------------------------
+# the family registry
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Family:
+    """A command-line state family: its deformation kind, the options it
+    requires (in the order they are checked), and ``build(p, n_max)`` and
+    ``norm(p, n_max)``, which read the options from the attributes of ``p``
+    (``alpha`` as one complex)."""
+
+    kind: str
+    requires: tuple
+    build: Callable
+    norm: Callable
+
+    @property
+    def scannable(self) -> bool:
+        """Whether its parameters fit the entropy scan's (alpha, tau, zeta) grid."""
+        return set(self.requires) <= {"tau"}
+
+
+# The callables look the constructors up as module globals when they run,
+# so a wrapper installed on a module global sees every build.
+FAMILIES = {
+    "glauber": Family("harmonic", (), lambda p, n: glauber(p.alpha, n),
+                      lambda p, n: math.exp(abs(p.alpha) ** 2 / 2.0)),
+    "nlcs": Family("nc", ("tau",), lambda p, n: nlcs(p.alpha, p.tau, n, basis=p.basis),
+                   lambda p, n: nlcs_normalization(p.alpha, p.tau)),
+    "q-coherent": Family("q", ("q",), lambda p, n: q_coherent(p.alpha, p.q, n),
+                         lambda p, n: math.sqrt(q_exponential(abs(p.alpha) ** 2, p.q))),
+    "gk": Family("nc", ("tau", "J"),
+                 lambda p, n: gk_coherent(p.J, p.gamma, p.tau, n, basis=p.basis),
+                 lambda p, n: gk_normalization(p.J, p.tau)),
+    "nc-squeezed": Family(
+        "nc", ("tau",),
+        lambda p, n: nc_squeezed(p.alpha, p.zeta, p.tau, n, basis=p.basis),
+        lambda p, n: squeezed_normalization(p.alpha, p.zeta,
+                                            Deformation.perturbative_nc(p.tau), n)),
+    "ho-squeezed": Family(
+        "harmonic", (), lambda p, n: ho_squeezed(p.alpha, p.zeta, n),
+        lambda p, n: squeezed_normalization(p.alpha, p.zeta, Deformation.harmonic(), n)),
+    "cat": Family("q", ("q", "parity"), lambda p, n: cat_q(p.alpha, p.q, p.parity, n),
+                  lambda p, n: math.sqrt(cat_norm_sq(p.alpha, p.q, p.parity))),
+    "pacs": Family("q", ("q",), lambda p, n: pacs_q(p.alpha, p.q, p.m, n),
+                   lambda p, n: math.sqrt(pacs_norm_sq(p.alpha, p.q, p.m))),
+}

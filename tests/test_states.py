@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from defock.deform import Deformation, f_factorial_squared, log_rho_table
+from defock.deform import Deformation, log_rho_table
 from defock.errors import (
     DegenerateStateError,
     DivergenceError,
@@ -16,6 +16,7 @@ from defock.states import (
     cat_q,
     cat_norm_sq,
     gk_coherent,
+    gk_normalization,
     glauber,
     ho_squeezed,
     nc_coherent_coeffs,
@@ -31,6 +32,7 @@ from defock.states import (
     squeezed_coeffs_recurrence,
     squeezed_normalization,
 )
+from oracles import f_factorial_squared
 
 HARMONIC = Deformation.harmonic()
 
@@ -154,6 +156,71 @@ def test_nlcs_normalization_first_order():
         resid[tau] = abs(n_sq - first)
     ratio = resid[0.01] / resid[0.005]
     assert 3.0 < ratio < 5.0
+
+
+def _nlcs_normalization_loop(alpha, tau):
+    """Reference: nlcs_normalization summed by its own doubling loop over
+    the half-log denominators log(sqrt(n!) f(n)!)."""
+    from defock.deform import log_f_factorial_table
+    from defock.specfun import log_factorial_table
+    from defock.states import _logsumexp
+
+    lam = abs(complex(alpha)) ** 2
+    if lam == 0.0:
+        return 1.0
+    d = Deformation.perturbative_nc(tau)
+    n = 128
+    while True:
+        log_denom = 0.5 * log_factorial_table(n) + 0.5 * log_f_factorial_table(d, n)
+        log_w = np.arange(n) * math.log(lam) - 2.0 * log_denom
+        if log_w[-1] < log_w.max() - 60.0:
+            return math.exp(0.5 * _logsumexp(log_w))
+        if n >= 65536:
+            raise DivergenceError("nlcs normalization series did not converge")
+        n *= 2
+
+
+def _gk_normalization_loop(J, tau):
+    """Reference: gk_normalization summed by its own doubling loop over
+    the Gazeau-Klauder log weights J^n / rho_n."""
+    from defock.states import _logsumexp
+
+    if J < 0:
+        raise ValidationError("J must be >= 0")
+    if J == 0.0:
+        return 1.0
+    d = Deformation.perturbative_nc(tau)
+    n = 128
+    while True:
+        log_abs = 0.5 * np.arange(n, dtype=float) * math.log(J) - 0.5 * log_rho_table(d, n)
+        log_w = 2.0 * log_abs
+        if log_w[-1] < log_w.max() - 60.0:
+            return math.exp(0.5 * _logsumexp(log_w))
+        n *= 2
+        if n > 65536:
+            raise DivergenceError("gk normalization series did not converge")
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:  # the references must raise what the library raises
+        return type(exc), str(exc)
+
+
+def test_normalizations_bit_equal_to_separate_loops():
+    taus = (0.0, 0.05, 0.3, 2.0, -0.1)
+    for tau in taus:
+        for mag in (0.0, 0.3, 1.0, 2.5, 7.0, 20.0, 1e6):
+            for alpha in (mag, mag * complex(0.6, -0.8)):
+                got = _outcome(nlcs_normalization, alpha, tau)
+                assert got == _outcome(_nlcs_normalization_loop, alpha, tau), (alpha, tau)
+        for J in (-1.0, 0.0, 0.5, 1.5, 3.0, 50.0, 400.0, 1e12):
+            got = _outcome(gk_normalization, J, tau)
+            assert got == _outcome(_gk_normalization_loop, J, tau), (J, tau)
+    # the grid reaches the divergence branch of both
+    assert _outcome(nlcs_normalization, 1e6, 0.0)[0] is DivergenceError
+    assert _outcome(gk_normalization, 1e12, 0.0)[0] is DivergenceError
 
 
 def test_nlcs_coeff_table_matches_dressing_algebra():
@@ -371,7 +438,7 @@ def test_squeezed_complex_parameters_agree_between_routes():
 
 def test_ho_squeezed_hermite_ratio():
     # (zeta/2) H_2(x) against the harmonic recurrence value at n = 2
-    from defock.specfun import hermite
+    from oracles import hermite
 
     alpha, zeta = 1.0, 0.25
     x = alpha / math.sqrt(2 * zeta)
@@ -454,7 +521,7 @@ def test_pacs_norm_q_one():
 def test_pacs_norm_matches_amplitude_series():
     # rebuild N_q^2(alpha, m) from the raw series and compare
     alpha, q, m = 0.8, 0.9, 2
-    from defock.specfun import q_log_factorial
+    from oracles import q_log_factorial
 
     lam = abs(alpha) ** 2
     total = 0.0
