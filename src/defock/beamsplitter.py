@@ -11,10 +11,10 @@ two are algebraically identical, so they must agree to rounding.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import os
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -69,7 +69,7 @@ class TwoModeState:
     amps: np.ndarray
 
     def __post_init__(self):
-        amps = np.asarray(self.amps, dtype=complex)
+        amps = _as_float_or_complex(self.amps)
         object.__setattr__(self, "amps", amps)
         total = float(np.sum(np.abs(amps) ** 2))
         if abs(total - 1.0) > 1e-10:
@@ -88,7 +88,7 @@ class DensityMatrix:
     rho: np.ndarray
 
     def __post_init__(self):
-        rho = np.asarray(self.rho, dtype=complex)
+        rho = _as_float_or_complex(self.rho)
         object.__setattr__(self, "rho", rho)
         rho.flags.writeable = False
 
@@ -110,23 +110,50 @@ class DensityMatrix:
         return self
 
 
-def _transform_matrix(c: np.ndarray, t, r) -> np.ndarray:
-    """M[q, m] = c[q+m] sqrt(C(q+m, q)) t^q r^m for q + m < n = len(c),
-    in one broadcast over the (q, m) grid.  ``c`` is zero-padded past n,
-    where the binomial stays finite, so the rest of M is exactly 0.
-    Terms indexed by q + m are read through Hankel views, not gathered."""
-    n = len(c)
+def _as_float_or_complex(x) -> np.ndarray:
+    """x as float64 if its dtype is real, else as complex128."""
+    return np.asarray(x, dtype=float if np.isrealobj(x) else complex)
+
+
+_hankel = np.lib.stride_tricks.sliding_window_view  # _hankel(x, n)[q, m] = x[q + m]
+
+
+# A scan uses two keys, r and |r|.  At MAX_N_MAX a float64 kernel is 2 MB
+# and a complex one (phi != 0 or complex r) 4 MB, so at most 16 MB are held.
+@functools.lru_cache(maxsize=4)
+def _splitter_kernel(n: int, t: float, r) -> np.ndarray:
+    """Read-only K[q, m] = sqrt(C(q+m, q)) t^q r^m on the n x n grid, real
+    when r is a float.  Past q + m = n - 1 the binomial stays finite, and
+    for a lossless splitter every |K[q, m]| <= 1: the anti-diagonal
+    q + m = k carries weight (|t|^2 + |r|^2)^k = 1."""
     q = np.arange(n)
     lf = log_factorial_table(2 * n - 1)
-    hankel = np.lib.stride_tricks.sliding_window_view  # hankel(x, n)[q, m] = x[q + m]
-    binom_half = hankel(lf, n) - lf[:n, None]
-    binom_half -= lf[:n]
-    binom_half *= 0.5
-    np.exp(binom_half, out=binom_half)
-    out = hankel(np.concatenate([c, np.zeros(n - 1, dtype=complex)]), n) * binom_half
-    out *= (t ** q)[:, None]
-    out *= r ** q
-    return out
+    kernel = _hankel(lf, n) - lf[:n, None]
+    kernel -= lf[:n]
+    kernel *= 0.5
+    np.exp(kernel, out=kernel)
+    kernel *= (t ** q)[:, None]
+    kernel = kernel * r ** q
+    kernel.flags.writeable = False
+    return kernel
+
+
+def _transform_matrix(c: np.ndarray, t: float, r) -> np.ndarray:
+    """M[q, m] = c[q+m] sqrt(C(q+m, q)) t^q r^m for q + m < n = len(c):
+    a Hankel view of c, zero-padded past n so the rest of M is exactly 0,
+    times the cached splitter kernel.
+
+    M is float64 when c and r are real.  An imaginary part counts as zero
+    only when it is identically zero, never when it is merely small, so
+    the real route runs only where the complex one would carry exact zeros.
+    """
+    n = len(c)
+    if np.iscomplexobj(c) and not c.imag.any():
+        c = c.real
+    r = complex(r)
+    r = r.real if r.imag == 0 else r
+    padded = np.concatenate([c, np.zeros(n - 1, dtype=c.dtype)])
+    return _hankel(padded, n) * _splitter_kernel(n, t, r)
 
 
 def split_fock(n: int, bs: BeamSplitter):
@@ -149,7 +176,8 @@ def apply_beamsplitter(state: FockState, bs: BeamSplitter) -> TwoModeState:
 
     Level k of the input feeds the anti-diagonal q + m = k of the output
     amplitude matrix, M[q, m] = c[q+m] sqrt(C(q+m, q)) t^q r^m; the whole
-    matrix is built in one broadcast.
+    matrix is built in one broadcast.  M is real when the amplitudes and
+    r are (phi = 0), and complex otherwise.
     """
     out = _transform_matrix(state.amps, bs.t, bs.r)
     out /= math.sqrt(float(np.sum(np.abs(out) ** 2)))
@@ -158,7 +186,9 @@ def apply_beamsplitter(state: FockState, bs: BeamSplitter) -> TwoModeState:
 
 def partial_trace(two: TwoModeState, port: str = "c",
                   validate: bool = True) -> DensityMatrix:
-    """Reduced density matrix of one output port."""
+    """Reduced density matrix of one output port, real when the amplitudes
+    are (``conj`` of a real array is the array itself, so numpy takes the
+    symmetric rank-k product)."""
     m = two.amps
     if port == "c":
         rho = m @ m.conj().T
@@ -219,7 +249,8 @@ def linear_entropy_closed_form(alpha: complex, tau: float, bs: BeamSplitter,
     All four summation indices are limited so every composite index stays
     below ``n_max``, matching the direct pipeline's truncation exactly.
     The quadruple sum is evaluated as tr((D^dag D)^2) with
-    D[m, q] = |t|^q |r|^m C(alpha, m+q) / (sqrt(m! q!) f(m+q)!).
+    D[m, q] = |t|^q |r|^m C(alpha, m+q) / (sqrt(m! q!) f(m+q)!), in real
+    arithmetic when the coefficients are real (real alpha).
     A warning is emitted when the discarded boundary terms exceed
     ``boundary_warn`` of the total.
     """
@@ -244,8 +275,12 @@ def linear_entropy_closed_form(alpha: complex, tau: float, bs: BeamSplitter,
 # ---------------------------------------------------------------------------
 
 def _scan_point(args):
-    family, alpha, tau, zeta, theta, phi, n_max = args
-    bs = BeamSplitter(theta=theta, phi=phi)
+    family, alpha, tau, zeta, theta, n_max = args
+    # phi is left out: it puts the phase (e^{-i phi})^m on column m of M,
+    # and a phase on a column cancels in rho_c = M M^H.  Both routes read
+    # port c, so every phi gives the same entropies, and at phi = 0 a real
+    # alpha keeps the whole direct route real.
+    bs = BeamSplitter(theta=theta)
     s_closed = float("nan")
     p = SimpleNamespace(alpha=alpha, tau=tau, zeta=zeta, basis="perturbed")
     try:
@@ -287,11 +322,14 @@ def entropy_scan(family: str, alpha_grid, tau_grid=None, *,
         raise ValidationError("scan grids must be non-empty")
     bs = bs or BeamSplitter.fifty_fifty()
     points = [
-        (names[family], a, t, float(zeta), bs.theta, bs.phi, int(n_max))
+        (names[family], a, t, float(zeta), bs.theta, int(n_max))
         for t in taus
         for a in alphas
     ]
     if workers > 1:
+        # imported here: it loads multiprocessing, which one worker never needs
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_scan_point, points))
     else:

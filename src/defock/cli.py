@@ -104,10 +104,12 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
         choices=[name for name, spec in states.FAMILIES.items() if spec.scannable],
         required=True,
     )
-    p_scan.add_argument("--alphas", help="comma list of alpha values")
+    p_scan.add_argument("--alphas", help="comma list of alpha values; a list that "
+                        "starts with a negative value needs the = form, --alphas=-1,0.5")
     p_scan.add_argument("--alpha-max", type=float)
     p_scan.add_argument("--alpha-steps", type=int)
-    p_scan.add_argument("--taus", help="comma list of tau values")
+    p_scan.add_argument("--taus", help="comma list of tau values; as for --alphas, a "
+                        "list that starts with a negative value needs the = form")
 
     p_meas = sub.add_parser("measure-check", parents=common,
                             help="measure moment verification")

@@ -17,6 +17,7 @@ E_n = hbar omega e_n.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -65,7 +66,7 @@ class Deformation:
                     f"tau={self.tau} is outside the perturbative regime; "
                     "first-order closed forms will be inaccurate",
                     PerturbativeRegimeWarning,
-                    stacklevel=3,
+                    stacklevel=_stacklevel_outside_module(),
                 )
         if self.kind == "q" and not 0.0 < self.q <= 1.0:
             raise ValidationError(f"q must lie in (0, 1], got {self.q}")
@@ -81,6 +82,21 @@ class Deformation:
     @staticmethod
     def q_deformed(q: float) -> "Deformation":
         return Deformation("q", q=q)
+
+
+def _stacklevel_outside_module() -> int:
+    """The ``stacklevel`` that makes a warning raised in
+    ``Deformation.__post_init__`` name the first frame outside this module.
+    The dataclass-generated ``__init__`` and the constructors such as
+    ``perturbative_nc`` sit between it and the caller, so the count is not
+    fixed."""
+    level, frame = 1, sys._getframe(1)  # level 1: __post_init__, which warns
+    while frame.f_back is not None and (
+        frame.f_code.co_filename == __file__
+        or frame.f_code is Deformation.__init__.__code__
+    ):
+        level, frame = level + 1, frame.f_back
+    return level
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,7 @@
+import concurrent.futures
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,9 +19,12 @@ from defock.beamsplitter import (
     von_neumann_entropy,
 )
 from defock.errors import PerturbativeRegimeWarning, ValidationError
+from defock.specfun import log_factorial_table
 from defock.states import (
+    FAMILIES,
     MAX_N_MAX,
     FockState,
+    gk_coherent,
     glauber,
     ho_squeezed,
     nc_coherent_coeffs,
@@ -120,6 +125,12 @@ def test_apply_beamsplitter_unitary_for_all_inputs():
         assert float(np.sum(np.abs(two.amps) ** 2)) == pytest.approx(1.0, abs=1e-10)
 
 
+def assert_zero_past_truncation(amps):
+    """Entries with q + m >= n_max are exactly 0, not merely small."""
+    q = np.arange(len(amps))
+    assert np.all(amps[(q[:, None] + q) >= len(amps)] == 0)
+
+
 @pytest.mark.parametrize("n_max", [1, 2, 5, 64, 256])
 @pytest.mark.parametrize("theta, phi", [(math.pi / 2, 0.0), (1.1, 0.6), (0.3, 2.0)])
 def test_apply_beamsplitter_matches_level_loop(n_max, theta, phi):
@@ -129,9 +140,26 @@ def test_apply_beamsplitter_matches_level_loop(n_max, theta, phi):
     bs = BeamSplitter(theta=theta, phi=phi)
     got = apply_beamsplitter(state, bs).amps
     assert np.max(np.abs(got - apply_beamsplitter_loop(state.amps, bs))) <= 1e-14
-    q = np.arange(n_max)
-    outside = (q[:, None] + q) >= n_max
-    assert np.all(got[outside] == 0)
+    assert got.dtype == np.complex128
+    assert_zero_past_truncation(got)
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 5, 64, 256])
+@pytest.mark.parametrize("theta, phi", [(math.pi / 2, 0.0), (1.1, 0.6), (0.3, 2.0)])
+def test_apply_beamsplitter_real_input_matches_level_loop(n_max, theta, phi):
+    rng = np.random.default_rng(n_max)
+    amps = rng.normal(size=n_max)
+    state = FockState(amps / np.linalg.norm(amps), 0.0, "random")
+    bs = BeamSplitter(theta=theta, phi=phi)
+    got = apply_beamsplitter(state, bs).amps
+    assert got.dtype == (np.float64 if phi == 0.0 else np.complex128)
+    # Both sides read sqrt(C(k, q)) through ln k!, which carries up to about
+    # eps ln k! of absolute error, so entries agree to a relative
+    # 4 eps ln (n-1)!, not to a fixed absolute bound.
+    ref = apply_beamsplitter_loop(state.amps, bs)
+    rtol = 4 * np.finfo(float).eps * math.lgamma(n_max)
+    assert np.all(np.abs(got - ref) <= rtol * np.abs(ref) + 1e-300)
+    assert_zero_past_truncation(got)
 
 
 def test_vacuum_passthrough():
@@ -170,6 +198,22 @@ def test_bad_density_matrix_rejected():
         DensityMatrix(np.array([[0.5, 0.4], [0.1, 0.5]], dtype=complex)).validate()
     with pytest.raises(ValidationError):
         DensityMatrix(np.diag([0.7, 0.7]).astype(complex)).validate()
+
+
+def test_splitter_kernel_cached_read_only_and_bounded():
+    kernel = beamsplitter._splitter_kernel
+    assert kernel.cache_info().maxsize is not None
+    assert kernel.cache_info().maxsize <= 4
+    state = glauber(1.0, 64)
+    apply_beamsplitter(state, FIFTY)
+    misses = kernel.cache_info().misses
+    for _ in range(3):
+        apply_beamsplitter(state, FIFTY)
+    assert kernel.cache_info().misses == misses  # built once per (n, t, r)
+    k = kernel(64, FIFTY.t, FIFTY.r.real)
+    assert k.dtype == np.float64 and not k.flags.writeable
+    with pytest.raises(ValueError):
+        k[0, 0] = 2.0
 
 
 # ----------------------------------------------------------------- entropies
@@ -335,6 +379,81 @@ def test_entropy_grows_with_tau():
     assert values[-1] > 0.1
 
 
+# ----------------------------------------- real route against the complex one
+
+def transform_matrix_complex(c, t, r):
+    """The transform in complex arithmetic, the binomial table rebuilt on
+    every call; reference only."""
+    n = len(c)
+    q = np.arange(n)
+    lf = log_factorial_table(2 * n - 1)
+    hankel = np.lib.stride_tricks.sliding_window_view
+    binom_half = hankel(lf, n) - lf[:n, None]
+    binom_half -= lf[:n]
+    binom_half *= 0.5
+    np.exp(binom_half, out=binom_half)
+    out = hankel(np.concatenate([c, np.zeros(n - 1, dtype=complex)]), n) * binom_half
+    out *= (t ** q)[:, None]
+    out *= r ** q
+    return out
+
+
+def reduced_state_complex(state, bs):
+    """rho_c = M M^H from the complex transform; reference only."""
+    m = transform_matrix_complex(state.amps, bs.t, bs.r)
+    m /= math.sqrt(float(np.sum(np.abs(m) ** 2)))
+    return m @ m.conj().T
+
+
+def closed_form_complex(alpha, tau, bs, n_max):
+    """1 - tr((D^H D)^2) / |c|^4 from the complex transform; reference only."""
+    coeffs = nc_coherent_coeffs(alpha, tau, n_max)
+    d_mat = transform_matrix_complex(coeffs, abs(bs.t), abs(bs.r)).T
+    e_mat = d_mat.conj().T @ d_mat
+    return 1.0 - float(np.sum(np.abs(e_mat) ** 2)) / float(np.sum(np.abs(coeffs) ** 2)) ** 2
+
+
+@pytest.mark.parametrize("n_max", [5, 64, 256])
+@pytest.mark.parametrize("theta, phi", [(math.pi / 2, 0.0), (1.1, 0.6)])
+@pytest.mark.parametrize("family", ["glauber", "nlcs", "nc-squeezed", "ho-squeezed"])
+def test_real_route_matches_complex_route(family, theta, phi, n_max):
+    bs = BeamSplitter(theta=theta, phi=phi)
+    alphas, tau, zeta = [0.5, 1.5], 0.2, 0.2
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        table = entropy_scan(family.replace("-", "_"), alphas, [tau], zeta=zeta,
+                             bs=bs, n_max=n_max)
+        for alpha, row in zip(alphas, table.rows):
+            row = dict(zip(table.columns, row))
+            p = SimpleNamespace(alpha=alpha, tau=tau, zeta=zeta, basis="perturbed")
+            state = FAMILIES[family].build(p, n_max)
+            real = partial_trace(apply_beamsplitter(state, BeamSplitter(theta)), "c")
+            assert real.rho.dtype == np.float64
+            want = 1.0 - float(np.sum(np.abs(reduced_state_complex(state, bs)) ** 2))
+            assert abs(row["S_direct"] - want) <= 1e-15
+            if family in ("glauber", "nlcs"):
+                tau_cf = tau if family == "nlcs" else 0.0
+                closed = linear_entropy_closed_form(alpha, tau_cf, bs, state.n_max)
+                want = closed_form_complex(alpha, tau_cf, bs, state.n_max)
+                assert abs(closed - want) <= 1e-15
+                if family == "nlcs":
+                    assert abs(row["S_closed"] - want) <= 1e-15
+
+
+def test_complex_amplitudes_take_the_complex_route():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", PerturbativeRegimeWarning)
+        cases = ((nlcs(0.5 + 0.8j, 0.5, 24), FIFTY),
+                 (gk_coherent(1.5, 0.3, 0.1, 32), FIFTY),
+                 (gk_coherent(1.5, 0.3, 0.1, 32), BeamSplitter(1.1, 0.6)),
+                 (glauber(1.0, 32), BeamSplitter(1.1, 0.6)),  # real state, phi != 0
+                 (glauber(1.0 + 1e-12j, 32), FIFTY))  # tiny, but not zero
+    for state, bs in cases:
+        rho = partial_trace(apply_beamsplitter(state, bs), "c").rho
+        assert rho.dtype == np.complex128
+        assert np.max(np.abs(rho - reduced_state_complex(state, bs))) <= 1e-15
+
+
 # -------------------------------------------------------------------- scans
 
 def test_scan_single_point_matches_direct():
@@ -413,7 +532,9 @@ class RecordingPool:
 
 def test_scan_workers_clamped_to_cpu_count(monkeypatch):
     seen = []
-    monkeypatch.setattr(beamsplitter, "ProcessPoolExecutor",
+    # entropy_scan imports the pool class from concurrent.futures when it
+    # needs one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                         lambda max_workers: RecordingPool(seen, max_workers))
     monkeypatch.setattr(beamsplitter.os, "cpu_count", lambda: 2)
     table = entropy_scan("glauber", [0.5, 1.0, 1.5], None, n_max=16, workers=10**6)

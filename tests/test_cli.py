@@ -139,6 +139,18 @@ def test_entropy_scan_cli(tmp_path, capsys):
     assert (tmp_path / "entropy_scan.svg").exists()
 
 
+def test_entropy_scan_negative_first_alpha_with_equals_form(tmp_path):
+    # argparse reads "-1,0.5" given as a separate argument as an option
+    code = run([
+        "entropy-scan", "--family", "glauber", "--alphas=-1,0.5", "--nmax", "16",
+        "--format", "csv", "--out", str(tmp_path),
+    ])
+    assert code == 0
+    table = read_csv(tmp_path / "entropy_scan.csv")
+    assert table.column("alpha") == [-1.0, 0.5]
+    assert table.column("flag") == ["", ""]
+
+
 def test_entropy_scan_empty_grid_exit_2(tmp_path):
     code = run([
         "entropy-scan", "--family", "nlcs", "--alphas", "",
@@ -285,6 +297,20 @@ def test_scipy_integrate_imported_only_by_measure_check(tmp_path):
     lines = done.stdout.strip().splitlines()
     assert lines[0] == "False"
     assert lines[-1] == "0 True"
+
+
+def test_import_loads_no_process_pool(tmp_path):
+    src = str(Path(defock.__file__).resolve().parent.parent)
+    probe = (
+        "import sys\n"
+        f"sys.path.insert(0, {src!r})\n"
+        "import defock.cli\n"
+        "print(sorted(m for m in ('concurrent.futures.process', 'multiprocessing')\n"
+        "             if m in sys.modules))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, check=True, timeout=120)
+    assert done.stdout.strip() == "[]"
 
 
 # The family contract of `state` and `metrics`: which options each family

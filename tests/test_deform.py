@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -145,3 +146,13 @@ def test_validation():
         Deformation("weird")
     with pytest.warns(PerturbativeRegimeWarning):
         Deformation.perturbative_nc(2.0)
+
+
+@pytest.mark.parametrize("make", [lambda: Deformation("nc", tau=0.8),
+                                  lambda: Deformation.perturbative_nc(0.8)])
+def test_perturbative_warning_names_the_callers_file(make):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        make()
+    assert [w.category for w in caught] == [PerturbativeRegimeWarning]
+    assert caught[0].filename == __file__
