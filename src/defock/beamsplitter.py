@@ -20,7 +20,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import DefockError, ValidationError
+from .errors import DefockError, ValidationError, _stacklevel_outside
 from .fock_io import ScanTable
 from .specfun import log_factorial_table
 from .states import FAMILIES, FockState, _check_n_max, nc_coherent_coeffs
@@ -223,6 +223,9 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
 # closed-form linear entropy for the minimal-length coherent state
 # ---------------------------------------------------------------------------
 
+_BOUNDARY_WARN = 1e-12  # boundary share of the sum above which the closed form warns
+
+
 def _boundary_share(d_mat: np.ndarray, e_mat: np.ndarray) -> float:
     """sum |E|^2 - sum |E_in|^2, where E = D^H D and E_in is built from D
     less its outermost anti-diagonal B (entries m + q = n - 1), in O(n^2).
@@ -241,8 +244,7 @@ def _boundary_share(d_mat: np.ndarray, e_mat: np.ndarray) -> float:
 
 
 def linear_entropy_closed_form(alpha: complex, tau: float, bs: BeamSplitter,
-                               n_max: int, *,
-                               boundary_warn: float = 1e-12) -> float:
+                               n_max: int) -> float:
     """Linear entropy of a transformed minimal-length coherent state from
     the quadruple coefficient sum.
 
@@ -251,8 +253,9 @@ def linear_entropy_closed_form(alpha: complex, tau: float, bs: BeamSplitter,
     The quadruple sum is evaluated as tr((D^dag D)^2) with
     D[m, q] = |t|^q |r|^m C(alpha, m+q) / (sqrt(m! q!) f(m+q)!), in real
     arithmetic when the coefficients are real (real alpha).
-    A warning is emitted when the discarded boundary terms exceed
-    ``boundary_warn`` of the total.
+    A warning, which names the first caller outside this module, is
+    emitted when the discarded boundary terms exceed ``_BOUNDARY_WARN``
+    of the total.
     """
     _check_n_max(n_max)
     coeffs = nc_coherent_coeffs(alpha, tau, n_max)
@@ -261,11 +264,11 @@ def linear_entropy_closed_form(alpha: complex, tau: float, bs: BeamSplitter,
     e_mat = d_mat.conj().T @ d_mat
     total = float(np.sum(np.abs(e_mat) ** 2).real)
     boundary = _boundary_share(d_mat, e_mat)
-    if total > 0 and abs(boundary) > boundary_warn * total:
+    if total > 0 and abs(boundary) > _BOUNDARY_WARN * total:
         warnings.warn(
             f"entropy closed form: boundary terms contribute "
             f"{abs(boundary) / total:.2e} of the sum; enlarge n_max",
-            stacklevel=2,
+            stacklevel=_stacklevel_outside(__file__),
         )
     return 1.0 - total / norm_sq**2
 

@@ -4,6 +4,8 @@ The CLI maps these onto its exit-code contract, so library code should
 raise the most specific class that applies.
 """
 
+import sys
+
 
 class DefockError(Exception):
     """Base class for all toolkit errors."""
@@ -42,3 +44,19 @@ class QuadratureError(DefockError):
 class PerturbativeRegimeWarning(UserWarning):
     """The deformation strength is outside the regime in which the
     first-order closed forms are quantitatively reliable."""
+
+
+def _stacklevel_outside(module_file: str, *inside) -> int:
+    """The ``stacklevel`` that makes a warning name the first frame outside
+    ``module_file``, counted from the function that calls this and warns.
+    Frames whose code object is one of ``inside`` (a dataclass-generated
+    ``__init__`` has no file of its own) also count as the module's.  The
+    frames between the warning and the caller vary, so the count is not
+    fixed."""
+    level, frame = 1, sys._getframe(1)  # level 1: the function that warns
+    while frame.f_back is not None and (
+        frame.f_code.co_filename == module_file
+        or any(frame.f_code is code for code in inside)
+    ):
+        level, frame = level + 1, frame.f_back
+    return level

@@ -313,8 +313,8 @@ def glauber(alpha: complex, n_max: int = DEFAULT_N_MAX, *,
 def phi_eigenstate(n: int, tau: float, n_max: int = DEFAULT_N_MAX) -> FockState:
     """First-order perturbed eigenvector of the minimal-length oscillator.
 
-    Components sit at n and (when present) n-4 and n+4; the vector is
-    normalized after construction.
+    The dressing of the number state e_n: components sit at n and (when
+    present) n-4 and n+4; the vector is normalized after construction.
     """
     if n < 0:
         raise ValidationError("level index must be >= 0")
@@ -323,13 +323,9 @@ def phi_eigenstate(n: int, tau: float, n_max: int = DEFAULT_N_MAX) -> FockState:
         raise ValidationError(
             f"phi_eigenstate needs n + 4 < n_max (n={n}, n_max={n_max})"
         )
-    amps = np.zeros(n_max, dtype=complex)
-    amps[n] = 1.0
-    amps[n + 4] = (tau / 16.0) * math.sqrt(
-        (n + 1) * (n + 2) * (n + 3) * (n + 4)
-    )
-    if n >= 4:
-        amps[n - 4] = -(tau / 16.0) * math.sqrt((n - 3) * (n - 2) * (n - 1) * n)
+    e_n = np.zeros(n_max + 4)
+    e_n[n] = 1.0
+    amps = _phi_dress(e_n, tau)
     amps /= np.linalg.norm(amps)
     return FockState(amps, 0.0, f"phi_eigenstate(n={n}, tau={tau})")
 
@@ -573,15 +569,16 @@ def squeezed_coeff_closed_form(alpha: complex, zeta: complex, tau: float,
 
 def _squeezed_state_logs(alpha: complex, zeta: complex, d: Deformation,
                          nmax: int):
+    """(log|c_n|, phase_n) of the squeezed series c_n = I(n) / (sqrt(n!) f(n)!)."""
     table = squeezed_coeffs_recurrence(alpha, zeta, d, nmax)
     log_denom = 0.5 * log_factorial_table(nmax) + 0.5 * log_f_factorial_table(d, nmax)
-    return CoeffTable(table.log_abs - log_denom, table.phase)
+    return table.log_abs - log_denom, table.phase
 
 
 def squeezed_normalization(alpha: complex, zeta: complex, d: Deformation,
                            n_max: int) -> float:
     """Truncated-series norm of the squeezed expansion."""
-    return _squeezed_state_logs(alpha, zeta, d, n_max).normalization
+    return CoeffTable(*_squeezed_state_logs(alpha, zeta, d, n_max)).normalization
 
 
 def nc_squeezed(alpha: complex, zeta: complex, tau: float,
@@ -595,13 +592,8 @@ def nc_squeezed(alpha: complex, zeta: complex, tau: float,
     if tau < 0:
         raise ValidationError("tau must be >= 0")
     d = Deformation.perturbative_nc(tau)
-
-    def logs(w):
-        tab = _squeezed_state_logs(alpha, zeta, d, w)
-        return tab.log_abs, tab.phase
-
     return _build_truncated(
-        logs, n_max, tail_threshold,
+        lambda w: _squeezed_state_logs(alpha, zeta, d, w), n_max, tail_threshold,
         f"nc_squeezed(alpha={alpha}, zeta={zeta}, tau={tau}, "
         f"basis={basis}, n_max={n_max})",
         tau=tau, basis=basis,
@@ -611,42 +603,19 @@ def nc_squeezed(alpha: complex, zeta: complex, tau: float,
 def ho_squeezed(alpha: complex, zeta: complex,
                 n_max: int = DEFAULT_N_MAX, *,
                 tail_threshold: float = TAIL_THRESHOLD) -> FockState:
-    """Squeezed state of the undeformed oscillator via Hermite polynomials.
+    """Squeezed state of the undeformed oscillator.
 
-    Coefficients (zeta/2)^(n/2) H_n(alpha / sqrt(2 zeta)) / sqrt(n!);
-    ``zeta=0`` delegates to :func:`glauber`.
+    Amplitudes I(n) / sqrt(n!) from the squeezed recurrence at f^2 = 1,
+    where I(n) = (zeta/2)^(n/2) H_n(alpha / sqrt(2 zeta)); ``zeta=0``
+    delegates to :func:`glauber`.
     """
     alpha = complex(alpha)
     zeta = complex(zeta)
     if zeta == 0:
         return glauber(alpha, n_max, tail_threshold=tail_threshold)
-    x = alpha / cmath.sqrt(2.0 * zeta)
-    log_half_zeta = cmath.log(zeta / 2.0)
-
-    def logs(w):
-        log_abs = np.empty(w)
-        phase = np.empty(w, dtype=complex)
-        h_prev, h_cur = 1.0 + 0.0j, 2.0 * x
-        offset = 0.0
-        lg_half = 0.5 * log_factorial_table(w)
-        for k in range(w):
-            if k >= 2:
-                h_prev, h_cur = h_cur, 2.0 * x * h_cur - 2.0 * (k - 1) * h_prev
-                top = max(abs(h_prev), abs(h_cur), 1.0)
-                if top > 1e120:
-                    h_prev /= top
-                    h_cur /= top
-                    offset += math.log(top)
-            h = h_prev if k == 0 else h_cur
-            mag = abs(h)
-            phase_h = h / mag if mag > 0 else 1.0
-            log_mag = (math.log(mag) + offset) if mag > 0 else -math.inf
-            log_abs[k] = 0.5 * k * log_half_zeta.real + log_mag - lg_half[k]
-            phase[k] = cmath.exp(1j * 0.5 * k * log_half_zeta.imag) * phase_h
-        return log_abs, phase
-
+    d = Deformation.harmonic()
     return _build_truncated(
-        logs, n_max, tail_threshold,
+        lambda w: _squeezed_state_logs(alpha, zeta, d, w), n_max, tail_threshold,
         f"ho_squeezed(alpha={alpha}, zeta={zeta}, n_max={n_max})",
     )
 
@@ -737,8 +706,6 @@ def pacs_norm_sq(alpha: complex, q: float, m: int) -> float:
         raise ValidationError("photon-added count m must be >= 0")
     lam = abs(complex(alpha)) ** 2
     _check_q_radius(complex(alpha), q, "pacs_norm_sq")
-    from .specfun import q_bracket
-
     total = 0.0
     # direct summation; radius identical to the coherent series
     term = math.exp(sum(math.log(q_bracket(k, q)) for k in range(1, m + 1)))

@@ -2,7 +2,7 @@
 printing a PASS/FAIL line.  Run with ``pytest tests/test_acceptance.py -s``
 to see the lines as they execute.
 
-Two sub-checks carry strict expected-failure marks: their stated bounds
+Three sub-checks carry strict expected-failure marks: their stated bounds
 are not attainable for the quantities this toolkit can construct, and the
 measured constants are recorded in the assertion messages (details in the
 project notes).  Everything else must pass at the stated tolerances.
@@ -211,7 +211,15 @@ def test_c05_ladder_pair_saturates_identically():
     _line(5, True, f"ladder-pair saturation exact (worst defect {worst:.1e})")
 
 
-@pytest.mark.parametrize("alpha", _SPLIT_ALPHAS)
+# measured defect coefficients ~0.13 (alpha=1) and ~0.51 (alpha=2): the
+# first-order construction does not control the tau^2 term
+_XP_DEFECT_XFAIL = pytest.mark.xfail(
+    strict=True, reason="xp saturation defect exceeds 0.1 tau^2 at this alpha (see notes)")
+
+
+@pytest.mark.parametrize("alpha", [
+    0.5, pytest.param(1.0, marks=_XP_DEFECT_XFAIL), pytest.param(2.0, marks=_XP_DEFECT_XFAIL),
+])
 def test_c05_xp_saturation_bound(alpha):
     defects = {}
     for tau in (0.02, 0.01, 0.005):
@@ -224,14 +232,7 @@ def test_c05_xp_saturation_bound(alpha):
         f"xp saturation at alpha={alpha}: defect/tau^2 = "
         f"{['%.2f' % (defects[t] / t**2) for t in defects]}",
     )
-    if alpha in (1.0, 2.0):
-        # measured defect coefficients ~0.13 (alpha=1) and ~0.51 (alpha=2):
-        # the first-order construction does not control the tau^2 term
-        pytest.xfail(
-            "xp saturation defect exceeds 0.1 tau^2 at this alpha "
-            f"(measured {defects[0.005] / 0.005**2:.2f} tau^2); see notes"
-        )
-    assert ok
+    assert ok, f"defect/tau^2 at tau=0.005: {defects[0.005] / 0.005**2:.2f}"
 
 
 # --------------------------------------------------------------- criterion 6

@@ -310,6 +310,14 @@ def test_closed_form_boundary_warning():
         linear_entropy_closed_form(2.0, 0.0, FIFTY, 6)
 
 
+def test_closed_form_boundary_warning_names_the_scans_caller():
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        entropy_scan("nlcs", [2.0], [0.1], n_max=6)
+    boundary = [w for w in caught if "boundary" in str(w.message)]
+    assert boundary and all(w.filename == __file__ for w in boundary)
+
+
 def boundary_share_explicit(d_mat):
     """sum |D^H D|^2 less the same sum with the anti-diagonal m + q = n - 1
     of D zeroed, from a second full product; reference only."""

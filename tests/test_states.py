@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -422,14 +423,17 @@ def test_nc_squeezed_zeta_zero_is_nlcs():
 
 
 def test_nc_squeezed_tau_zero_is_ho_squeezed():
+    # both run the squeezed recurrence at f^2 = 1; this pins the guard
+    # levels and the tau = 0 dressing of nc_squeezed to the plain series
     a = nc_squeezed(1.0, 0.25, 0.0)
     b = ho_squeezed(1.0, 0.25)
     assert np.max(np.abs(a.amps - b.amps)) < 1e-10
 
 
 def test_squeezed_complex_parameters_agree_between_routes():
-    # complex zeta goes through the recurrence on one side and the complex
-    # Hermite evaluation on the other
+    # the same recurrence on both sides, once through the nc kernel at
+    # tau = 0 and once through the harmonic one; the Hermite identity is
+    # checked independently by test_ho_squeezed_matches_hermite_oracle
     zeta = 0.2 + 0.15j
     a = nc_squeezed(0.7 + 0.2j, zeta, 0.0)
     b = ho_squeezed(0.7 + 0.2j, zeta)
@@ -446,6 +450,22 @@ def test_ho_squeezed_hermite_ratio():
     t = squeezed_coeffs_recurrence(alpha, zeta, HARMONIC, 4)
     ratio_rec = math.exp(t.log_abs[2] - t.log_abs[0]) * (t.phase[2] / t.phase[0])
     assert ratio_hermite == pytest.approx(ratio_rec.real, rel=1e-12)
+
+
+@pytest.mark.parametrize("alpha, zeta", [
+    (1.0, 0.25), (1.6, 0.6), (0.0, 0.3), (0.9, -0.35), (-0.4, -0.7),
+    (0.7 + 0.2j, 0.2 + 0.15j), (-1.1 + 0.5j, -0.3 + 0.4j), (0.3 - 0.8j, 0.5j),
+])
+def test_ho_squeezed_matches_hermite_oracle(alpha, zeta):
+    # whole normalized vectors against (zeta/2)^(n/2) H_n(alpha/sqrt(2 zeta)) / sqrt(n!)
+    from oracles import hermite
+
+    s = ho_squeezed(alpha, zeta)
+    x = alpha / cmath.sqrt(2 * zeta)
+    ref = np.array([(zeta / 2) ** (n / 2) * hermite(n, x) / math.sqrt(math.factorial(n))
+                    for n in range(s.n_max)], dtype=complex)
+    ref /= np.linalg.norm(ref)
+    assert np.max(np.abs(s.amps - ref)) <= 1e-12
 
 
 def test_ho_squeezed_parity_and_limit():
