@@ -368,8 +368,11 @@ def main(argv=None) -> int:
     except (ValidationError, DegenerateStateError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (TruncationError, DivergenceError) as exc:
+    except TruncationError as exc:
         print(f"truncation error: {exc}", file=sys.stderr)
+        return EXIT_TRUNCATION
+    except DivergenceError as exc:
+        print(f"divergence error: {exc}", file=sys.stderr)
         return EXIT_TRUNCATION
     except ToleranceError as exc:
         print(f"tolerance failure: {exc}", file=sys.stderr)

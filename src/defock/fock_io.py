@@ -127,6 +127,12 @@ def read_csv(path) -> ScanTable:
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 
+# a y span of at most this fraction of max|y| is plotted flat rather than
+# scaled to full height: the entropy of a harmonic squeezed scan is constant
+# in alpha but spreads over up to ~450 ulps (6e-14 relative) from rounding
+_FLAT_SPAN = 1e-12
+
+
 def _ticks(lo: float, hi: float, count: int = 5):
     if not lo < hi:
         lo, hi = lo - 1.0, hi + 1.0
@@ -138,8 +144,9 @@ def write_svg_lineplot(table: ScanTable, x_col: str, y_cols, path,
                        style: dict | None = None) -> None:
     """Standalone SVG 1.1 line plot with linear axes and a legend.
 
-    Rows whose x or y value is not finite are skipped.  Output depends
-    only on the inputs.
+    Rows whose x or y value is not finite are skipped.  A y range no
+    wider than 1e-12 max|y| (rounding noise on a constant) is drawn flat.
+    Output depends only on the inputs.
     """
     style = dict(style or {})
     if x_col not in table.columns:
@@ -165,7 +172,7 @@ def write_svg_lineplot(table: ScanTable, x_col: str, y_cols, path,
     y_lo, y_hi = float(ys.min()), float(ys.max())
     if x_lo == x_hi:
         x_lo, x_hi = x_lo - 1.0, x_hi + 1.0
-    if y_lo == y_hi:
+    if y_hi - y_lo <= _FLAT_SPAN * max(abs(y_lo), abs(y_hi)):
         y_lo, y_hi = y_lo - 1.0, y_hi + 1.0
     pad = 0.04 * (y_hi - y_lo)
     y_lo, y_hi = y_lo - pad, y_hi + pad

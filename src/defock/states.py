@@ -607,10 +607,14 @@ def ho_squeezed(alpha: complex, zeta: complex,
 
     Amplitudes I(n) / sqrt(n!) from the squeezed recurrence at f^2 = 1,
     where I(n) = (zeta/2)^(n/2) H_n(alpha / sqrt(2 zeta)); ``zeta=0``
-    delegates to :func:`glauber`.
+    delegates to :func:`glauber`.  The series converges for |zeta| < 1.
     """
     alpha = complex(alpha)
     zeta = complex(zeta)
+    if abs(zeta) >= 1.0:
+        raise DivergenceError(
+            f"ho_squeezed: |zeta|={abs(zeta):.6g} outside the convergence radius 1"
+        )
     if zeta == 0:
         return glauber(alpha, n_max, tail_threshold=tail_threshold)
     d = Deformation.harmonic()

@@ -56,6 +56,17 @@ def test_state_truncation_exit_3(tmp_path):
     assert code == 3
 
 
+def test_ho_squeezed_outside_radius_exit_3(tmp_path, capsys):
+    code = run([
+        "state", "--family", "ho-squeezed", "--zeta", "1.5", "--alpha-re", "1",
+        "--out", str(tmp_path),
+    ])
+    assert code == 3
+    assert capsys.readouterr().err == (
+        "divergence error: ho_squeezed: |zeta|=1.5 outside the convergence radius 1\n"
+    )
+
+
 def test_metrics_q_coherent(tmp_path, capsys):
     code = run([
         "metrics", "--family", "q-coherent", "--q", "0.9", "--alpha-re", "1",
@@ -281,36 +292,61 @@ def test_config_defaults_do_not_leak_into_later_calls(tmp_path, capsys):
     assert before == "family=glauber n_max=64 norm_const=1 tail_mass=0.000e+00 mean_n=0\n"
 
 
-def test_scipy_integrate_imported_only_by_measure_check(tmp_path):
+def _fresh_probe(code):
+    """Run ``code`` in a fresh interpreter that imports this checkout's
+    ``defock``; return its stripped stdout."""
     src = str(Path(defock.__file__).resolve().parent.parent)
-    probe = (
-        "import sys\n"
-        f"sys.path.insert(0, {src!r})\n"
+    probe = f"import sys\nsys.path.insert(0, {src!r})\n" + code
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, check=True, timeout=120)
+    return done.stdout.strip()
+
+
+def test_scipy_integrate_imported_only_by_measure_check(tmp_path):
+    lines = _fresh_probe(
         "import defock.cli\n"
         "print('scipy.integrate' in sys.modules)\n"
         f"code = defock.cli.main(['measure-check', '--tau', '1', '--moments', '1', "
         f"'--out', {str(tmp_path)!r}])\n"
         "print(code, 'scipy.integrate' in sys.modules)\n"
-    )
-    done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
-                          text=True, check=True, timeout=120)
-    lines = done.stdout.strip().splitlines()
+    ).splitlines()
     assert lines[0] == "False"
     assert lines[-1] == "0 True"
 
 
-def test_import_loads_no_process_pool(tmp_path):
-    src = str(Path(defock.__file__).resolve().parent.parent)
-    probe = (
-        "import sys\n"
-        f"sys.path.insert(0, {src!r})\n"
+def test_import_loads_no_process_pool():
+    out = _fresh_probe(
         "import defock.cli\n"
         "print(sorted(m for m in ('concurrent.futures.process', 'multiprocessing')\n"
         "             if m in sys.modules))\n"
     )
-    done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
-                          text=True, check=True, timeout=120)
-    assert done.stdout.strip() == "[]"
+    assert out == "[]"
+
+
+def test_import_and_light_jobs_load_no_scipy_or_mpmath(tmp_path):
+    # only measure-check needs scipy (kve, quad); nothing on the light paths
+    # may pull scipy or mpmath into a short job's start-up
+    out = str(tmp_path)
+    lines = _fresh_probe(
+        "import contextlib, io\n"
+        "def heavy():\n"
+        "    return sorted(m for m in sys.modules\n"
+        "                  if m.split('.')[0] in ('scipy', 'mpmath'))\n"
+        "def job(*argv):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"        return defock.cli.main([*argv, '--out', {out!r}])\n"
+        "import defock\n"
+        "print(heavy())\n"
+        "import defock.cli\n"
+        "print(heavy())\n"
+        "print(job('state', '--family', 'nlcs', '--tau', '0.1', '--alpha-re', '1'),\n"
+        "      heavy())\n"
+        "print(job('entropy-scan', '--family', 'nlcs', '--alphas', '0.5,1',\n"
+        "          '--taus', '0.1', '--nmax', '16', '--workers', '1'), heavy())\n"
+        "print(job('measure-check', '--tau', '1', '--moments', '1'),\n"
+        "      'scipy.special' in sys.modules)\n"
+    ).splitlines()
+    assert lines == ["[]", "[]", "0 []", "0 []", "0 True"]
 
 
 # The family contract of `state` and `metrics`: which options each family

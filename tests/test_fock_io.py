@@ -148,7 +148,7 @@ def write_csv_loop(table, path):
 def write_svg_lineplot_loop(table, x_col, y_cols, path, style=None):
     """The plot with its range and polyline points built cell by cell;
     reference only."""
-    from defock.fock_io import _PALETTE, _ticks
+    from defock.fock_io import _FLAT_SPAN, _PALETTE, _ticks
 
     style = dict(style or {})
     width, height = 640.0, 420.0
@@ -169,7 +169,7 @@ def write_svg_lineplot_loop(table, x_col, y_cols, path, style=None):
     y_lo, y_hi = min(ys), max(ys)
     if x_lo == x_hi:
         x_lo, x_hi = x_lo - 1.0, x_hi + 1.0
-    if y_lo == y_hi:
+    if y_hi - y_lo <= _FLAT_SPAN * max(abs(y_lo), abs(y_hi)):
         y_lo, y_hi = y_lo - 1.0, y_hi + 1.0
     pad = 0.04 * (y_hi - y_lo)
     y_lo, y_hi = y_lo - pad, y_hi + pad
@@ -268,7 +268,12 @@ def _mixed_tables():
     for n, p in enumerate(rng.random(64).tolist()):
         ints.append([n, p if n != 7 else -0.0])
     big = ScanTable(columns=["n", "v"], rows=[[2**70, 1.0], [-(2**63), np.float64(0.1)]])
-    return {"mixed": mixed, "floats": floats, "ints": ints, "big": big}
+    # a harmonic squeezed entropy: constant in alpha up to rounding
+    near_flat = ScanTable(columns=["alpha", "S"],
+                          rows=[[0.1 * i, 0.05556561371368873 * (1.0 + 1e-15 * (i % 3))]
+                                for i in range(20)])
+    return {"mixed": mixed, "floats": floats, "ints": ints, "big": big,
+            "near_flat": near_flat}
 
 
 @pytest.mark.parametrize("name", ["mixed", "floats", "ints", "big"])
@@ -294,6 +299,7 @@ def test_csv_still_rejects_bool_and_quoted_cells(tmp_path, cell):
     ("floats", "t", ["A"]),
     ("ints", "n", ["P_n"]),
     ("big", "n", ["v"]),
+    ("near_flat", "alpha", ["S"]),
 ])
 def test_svg_byte_equal_to_per_point_loop(tmp_path, name, x_col, y_cols):
     table = _mixed_tables()[name]
@@ -301,3 +307,23 @@ def test_svg_byte_equal_to_per_point_loop(tmp_path, name, x_col, y_cols):
     write_svg_lineplot(table, x_col, y_cols, tmp_path / "new.svg", style=style)
     write_svg_lineplot_loop(table, x_col, y_cols, tmp_path / "ref.svg", style=style)
     assert (tmp_path / "new.svg").read_bytes() == (tmp_path / "ref.svg").read_bytes()
+
+
+@pytest.mark.parametrize("level", [0.05556561371368873, -3.25, 1.0])
+def test_svg_draws_a_curve_flat_up_to_rounding_as_flat(tmp_path, level):
+    # the entropy of a harmonic squeezed scan is constant in alpha; its
+    # rounding noise must not fill the plot's height
+    alphas = [0.1 * i for i in range(20)]
+    noise = np.random.default_rng(9).uniform(-1e-16, 1e-16, 20) * max(1.0, abs(level))
+    flat = ScanTable(columns=["alpha", "S"], rows=[[a, level] for a in alphas])
+    noisy = ScanTable(columns=["alpha", "S"],
+                      rows=[[a, level + float(e)] for a, e in zip(alphas, noise)])
+    assert len({row[1] for row in noisy.rows}) > 1
+    write_svg_lineplot(flat, "alpha", ["S"], tmp_path / "flat.svg")
+    write_svg_lineplot(noisy, "alpha", ["S"], tmp_path / "noisy.svg")
+    assert (tmp_path / "flat.svg").read_bytes() == (tmp_path / "noisy.svg").read_bytes()
+    # a real trend of 1e-9 relative is still scaled to the full height
+    trend = ScanTable(columns=["alpha", "S"],
+                      rows=[[a, level * (1.0 + 1e-9 * i)] for i, a in enumerate(alphas)])
+    write_svg_lineplot(trend, "alpha", ["S"], tmp_path / "trend.svg")
+    assert (tmp_path / "trend.svg").read_bytes() != (tmp_path / "flat.svg").read_bytes()

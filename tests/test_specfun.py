@@ -287,6 +287,18 @@ def test_log_factorial_table_read_only_at_every_length():
     assert long[4999] == pytest.approx(math.lgamma(5000.0), rel=1e-15)
 
 
+def test_log_factorial_table_within_one_ulp():
+    table = log_factorial_table(1024)
+    assert table[0] == 0.0 and table[1] == 0.0
+    assert not table.flags.writeable and not table.base.flags.writeable
+    with mp.workdps(40):
+        ref = [float(mp.loggamma(k + 1)) for k in range(1024)]
+    # faithfully rounded: each entry is the correctly rounded ln k! or one
+    # of its two neighbours
+    ulps = [abs(v - r) / math.ulp(r) for v, r in zip(table[2:].tolist(), ref[2:])]
+    assert max(ulps) <= 1.0
+
+
 def test_log_gamma_domain():
     with pytest.raises(ValidationError):
         log_gamma(0.0)

@@ -478,6 +478,18 @@ def test_ho_squeezed_parity_and_limit():
     assert np.max(np.abs(exact.amps - g.amps)) == 0.0
 
 
+@pytest.mark.parametrize("zeta", [1.5, 1.0, -1.0, 0.6 + 0.8j, 2j])
+def test_ho_squeezed_outside_radius_fails_before_any_build(monkeypatch, zeta):
+    import defock.states as states
+
+    def no_build(*args):
+        raise AssertionError("the squeezed recurrence ran")
+
+    monkeypatch.setattr(states, "_squeezed_state_logs", no_build)
+    with pytest.raises(DivergenceError, match=r"\|zeta\|=.* convergence radius 1"):
+        ho_squeezed(1.0, zeta)
+
+
 def test_squeezed_normalization_helper():
     d = Deformation.perturbative_nc(0.1)
     val = squeezed_normalization(1.0, 0.25, d, 64)
