@@ -60,7 +60,6 @@ def _common_options() -> argparse.ArgumentParser:
     p.add_argument("--phi", type=float, default=0.0)
     p.add_argument("--omega", type=float, default=0.5)
     p.add_argument("--hbar", type=float, default=1.0)
-    p.add_argument("--mass", type=float, default=1.0)
     p.add_argument("--out", default=".")
     p.add_argument("--workers", type=int, default=1)
     p.add_argument(
@@ -222,15 +221,7 @@ def cmd_autocorr(args) -> int:
     a = metrics.gk_autocorrelation(
         args.J, args.gamma, args.tau, args.omega, t, n_max=args.nmax
     )
-    if args.nbar is not None:
-        times = metrics.revival_times(
-            args.J, args.tau, args.omega, args.hbar,
-            nbar_rule="explicit", nbar=args.nbar,
-        )
-    else:
-        times = metrics.revival_times(
-            args.J, args.tau, args.omega, args.hbar, nbar_rule="mean"
-        )
+    times = metrics.revival_times(args.J, args.tau, args.omega, args.hbar, nbar=args.nbar)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     table = fock_io.ScanTable(

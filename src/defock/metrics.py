@@ -344,28 +344,23 @@ class RevivalTimes:
 
 
 def revival_times(J: float, tau: float, omega: float, hbar: float = 1.0, *,
-                  nbar_rule: str = "mean", nbar: float | None = None,
-                  n_max: int = 64) -> RevivalTimes:
+                  nbar: float | None = None, n_max: int = 64) -> RevivalTimes:
     """Classical period and revival time of the quadratic spectrum.
 
     With E_n = hbar omega (A n + B n^2): t_cl = 2 pi / (omega (A + 2 B nbar))
-    and t_rev = 2 pi / (omega B), independent of nbar.  At tau = 0 the
-    revival time is infinite and returned as ``math.inf``.
+    and t_rev = 2 pi / (omega B), independent of nbar.  ``nbar=None`` takes
+    nbar as the mean level of the bare Gazeau-Klauder state of J.  At
+    tau = 0 the revival time is infinite and returned as ``math.inf``.
     """
     if omega <= 0 or hbar <= 0:
         raise ValidationError("omega and hbar must be positive")
     sc = SpectrumCoeffs.from_tau(tau)
-    if nbar_rule == "explicit":
-        if nbar is None:
-            raise ValidationError("explicit nbar_rule needs a value for nbar")
+    if nbar is not None:
         nb = float(nbar)
-    elif nbar_rule == "mean":
-        if J <= 0:
-            raise ValidationError("mean nbar_rule needs J > 0")
-        state = gk_coherent(J, 0.0, tau, n_max, basis="bare")
-        nb = state.mean_n()
+    elif J <= 0:
+        raise ValidationError("the mean nbar needs J > 0")
     else:
-        raise ValidationError(f"unknown nbar_rule {nbar_rule!r}")
+        nb = gk_coherent(J, 0.0, tau, n_max, basis="bare").mean_n()
     t_cl = 2.0 * math.pi / (omega * (sc.A + 2.0 * sc.B * nb))
     t_rev = math.inf if sc.B == 0.0 else 2.0 * math.pi / (omega * sc.B)
     return RevivalTimes(t_cl=t_cl, t_rev=t_rev)

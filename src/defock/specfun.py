@@ -1,9 +1,10 @@
 """Special-function kernels for the state constructors and the measure check.
 
-q-brackets and terminating Gauss hypergeometric sums are written out
-here.  ``log_gamma`` is the C library's ``lgamma`` (via ``math``), and
+Terminating Gauss hypergeometric sums are written out here.
+``log_gamma`` is the C library's ``lgamma`` (via ``math``), and
 ``log_factorial_table`` is one cached table, the ``math.log`` of each
-exact integer k!, that every factorial-weighted series reads.
+exact integer k!, that every factorial-weighted series reads.  The
+q-integer [n]_q lives in one place, ``deform.f_squared``.
 ``bessel_k_log`` uses ``scipy.special.kve`` (Amos' algorithm), with an
 ``mpmath`` fallback where the scaled value leaves the double range.
 
@@ -24,36 +25,11 @@ import numpy as np
 from .errors import ValidationError
 
 __all__ = [
-    "q_bracket",
     "gauss_2f1_terminating",
     "bessel_k_log",
     "log_gamma",
     "log_factorial_table",
 ]
-
-
-def q_bracket(n: int, q: float) -> float:
-    """q-integer [n] = (1 - q^(2n)) / (1 - q^2), with [n] -> n as q -> 1.
-
-    Parameters
-    ----------
-    n : nonnegative int
-    q : float in (0, 1]
-
-    The q = 1 value is returned by an explicit limit branch; near q = 1
-    the ratio is evaluated with ``expm1`` so the 0/0 cancellation is
-    harmless.
-    """
-    if n < 0:
-        raise ValidationError(f"q_bracket needs n >= 0, got {n}")
-    if not 0.0 < q <= 1.0:
-        raise ValidationError(f"q_bracket needs 0 < q <= 1, got {q}")
-    if q == 1.0:
-        return float(n)
-    if n == 0:
-        return 0.0
-    lq = math.log(q)
-    return math.expm1(2.0 * n * lq) / math.expm1(2.0 * lq)
 
 
 def gauss_2f1_terminating(n: int, b: complex, c: float, z: float) -> complex:

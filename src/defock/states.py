@@ -20,6 +20,13 @@ Two representations are available for the minimal-length families
 The two agree at zeroth order in the deformation strength and are
 related by an explicit banded dressing.
 
+Each family's raw series is written once, as a ``_<family>_series``
+maker that validates the parameters and returns ``logs(w) -> (log|c_n|,
+phase_n)`` for at least ``w`` levels.  The constructors truncate it with
+``_build_truncated``; the normalization constants of nlcs, gk,
+q-coherent, cat and pacs sum the same series to convergence with
+``_series_norm``.
+
 ``FAMILIES`` maps each state family of the command line to its
 constructor, its deformation kind, its required options and its
 normalization constant.
@@ -39,7 +46,6 @@ from .deform import (
     Deformation,
     dimensionless_e,
     f_squared,
-    log_f_factorial_table,
     log_rho_table,
 )
 from .errors import (
@@ -48,7 +54,7 @@ from .errors import (
     TruncationError,
     ValidationError,
 )
-from .specfun import log_factorial_table, q_bracket
+from .specfun import log_factorial_table
 
 __all__ = [
     "FockState",
@@ -62,7 +68,7 @@ __all__ = [
     "nc_coherent_coeffs",
     "nlcs_normalization",
     "q_coherent",
-    "q_exponential",
+    "q_normalization",
     "gk_coherent",
     "gk_normalization",
     "squeezed_coeffs_recurrence",
@@ -219,8 +225,7 @@ def _check_n_max(n_max):
         raise ValidationError(f"n_max must lie in 1 .. {MAX_N_MAX}, got {n_max}")
 
 
-def _build_truncated(logs, n_max, tail_threshold, label, *, tau=None,
-                     basis="bare"):
+def _build_truncated(logs, n_max, label, *, tau=None, basis="bare"):
     """Auto-doubling driver shared by all series constructors.
 
     ``logs(w)`` must return ``(log|c_n|, phase_n)`` of the raw series for
@@ -228,7 +233,7 @@ def _build_truncated(logs, n_max, tail_threshold, label, *, tau=None,
     their series keeps 4 guard levels, which ``basis="perturbed"`` dresses
     away.  The tail mass is estimated from ``_TAIL_PAD`` further levels,
     and the truncation doubles from ``n_max`` until it is below
-    ``tail_threshold``.
+    ``TAIL_THRESHOLD``.
     """
     _check_n_max(n_max)
     guard = 0 if tau is None else 4
@@ -238,7 +243,7 @@ def _build_truncated(logs, n_max, tail_threshold, label, *, tau=None,
         u = CoeffTable(log_abs[:n + guard], phase[:n + guard]).scaled_values()
         amps = _phi_dress(u, tau) if basis == "perturbed" else u[:n]
         tail = _tail_mass(2.0 * log_abs, n)
-        if tail <= tail_threshold:
+        if tail <= TAIL_THRESHOLD:
             norm = np.linalg.norm(amps)
             if norm == 0.0:
                 raise DegenerateStateError(f"{label}: zero state vector")
@@ -246,9 +251,26 @@ def _build_truncated(logs, n_max, tail_threshold, label, *, tau=None,
         if n >= MAX_N_MAX:
             raise TruncationError(
                 f"{label}: tail mass {tail:.3e} above threshold "
-                f"{tail_threshold:.1e} even at n_max={n}"
+                f"{TAIL_THRESHOLD:.1e} even at n_max={n}"
             )
         n = min(2 * n, MAX_N_MAX)
+
+
+def _series_norm(logs, family: str) -> float:
+    """sqrt(sum |c_n|^2) of the raw series ``logs(w)``, the l2 norm a
+    constructor divides out.  The summed length doubles from 128 until the
+    last two weights are below e^-60 of the largest (two, because a cat
+    series is zero at every other level), and at most to 8 * MAX_N_MAX.
+    """
+    w = 128
+    while True:
+        log_w = 2.0 * logs(w)[0]
+        top = log_w.max()
+        if top == -math.inf or log_w[-2:].max() < top - 60.0:
+            return math.exp(0.5 * _logsumexp(log_w))
+        if w >= 8 * MAX_N_MAX:
+            raise DivergenceError(f"{family} normalization series did not converge")
+        w *= 2
 
 
 def _phi_dress(u: np.ndarray, tau: float) -> np.ndarray:
@@ -296,8 +318,7 @@ def _power_series_logs(alpha: complex, log_denom: np.ndarray):
     return log_abs, phase
 
 
-def glauber(alpha: complex, n_max: int = DEFAULT_N_MAX, *,
-            tail_threshold: float = TAIL_THRESHOLD) -> FockState:
+def glauber(alpha: complex, n_max: int = DEFAULT_N_MAX) -> FockState:
     """Canonical coherent state: amplitudes alpha^n / sqrt(n!), normalized.
 
     Raises :class:`TruncationError` when even the auto-doubled truncation
@@ -306,7 +327,7 @@ def glauber(alpha: complex, n_max: int = DEFAULT_N_MAX, *,
     alpha = complex(alpha)
     return _build_truncated(
         lambda w: _power_series_logs(alpha, 0.5 * log_factorial_table(w)),
-        n_max, tail_threshold, f"glauber(alpha={alpha}, n_max={n_max})",
+        n_max, f"glauber(alpha={alpha}, n_max={n_max})",
     )
 
 
@@ -330,14 +351,15 @@ def phi_eigenstate(n: int, tau: float, n_max: int = DEFAULT_N_MAX) -> FockState:
     return FockState(amps, 0.0, f"phi_eigenstate(n={n}, tau={tau})")
 
 
-def _nc_log_denominators(tau: float, nmax: int) -> np.ndarray:
+def _nlcs_series(alpha: complex, tau: float):
+    """``logs`` of the raw nlcs series alpha^n / (sqrt(n!) f(n)!) = alpha^n / sqrt(rho_n)."""
+    alpha = complex(alpha)
     d = Deformation.perturbative_nc(tau)
-    return 0.5 * log_factorial_table(nmax) + 0.5 * log_f_factorial_table(d, nmax)
+    return lambda w: _power_series_logs(alpha, 0.5 * log_rho_table(d, w))
 
 
 def nlcs(alpha: complex, tau: float, n_max: int = DEFAULT_N_MAX, *,
-         basis: str = "perturbed",
-         tail_threshold: float = TAIL_THRESHOLD) -> FockState:
+         basis: str = "perturbed") -> FockState:
     """Nonlinear coherent state of the minimal-length oscillator.
 
     The raw series has coefficients alpha^n / (sqrt(n!) f(n)!).  With
@@ -348,13 +370,9 @@ def nlcs(alpha: complex, tau: float, n_max: int = DEFAULT_N_MAX, *,
     evaluated).
     """
     _check_basis(basis)
-    alpha = complex(alpha)
-    if tau < 0:
-        raise ValidationError("tau must be >= 0")
     return _build_truncated(
-        lambda w: _power_series_logs(alpha, _nc_log_denominators(tau, w)),
-        n_max, tail_threshold,
-        f"nlcs(alpha={alpha}, tau={tau}, basis={basis}, n_max={n_max})",
+        _nlcs_series(alpha, tau), n_max,
+        f"nlcs(alpha={complex(alpha)}, tau={tau}, basis={basis}, n_max={n_max})",
         tau=tau, basis=basis,
     )
 
@@ -366,115 +384,90 @@ def nc_coherent_coeffs(alpha: complex, tau: float, n_max: int) -> np.ndarray:
     entropy sum so the two routes truncate identically.  Values carry a
     common (irrelevant) scale factor.
     """
-    logs = _power_series_logs(complex(alpha), _nc_log_denominators(tau, n_max + 4))
+    logs = _nlcs_series(alpha, tau)(n_max + 4)
     return _phi_dress(CoeffTable(*logs).scaled_values(), tau)
 
 
 def nlcs_normalization(alpha: complex, tau: float) -> float:
-    """Normalization constant of the raw series, sum |alpha|^2n/(n! f^2(n)!).
-
-    Summed directly until the terms fall below 1e-25 of the total.
-    """
-    lam = abs(complex(alpha)) ** 2
-    if lam == 0.0:
+    """Normalization constant of the raw series, sqrt(sum |alpha|^2n / rho_n)."""
+    if complex(alpha) == 0:
         return 1.0
-    return _rho_series_norm(math.log(lam), tau, "nlcs")
+    return _series_norm(_nlcs_series(alpha, tau), "nlcs")
 
 
-def _rho_series_norm(log_x: float, tau: float, family: str) -> float:
-    """sqrt(sum x^n / rho_n) over the minimal-length moments rho_n = n! f^2(n)!,
-    doubling the summed length until its last term is below e^-60 of the largest."""
-    n = 128
-    while True:
-        log_w = np.arange(n) * log_x - 2.0 * _nc_log_denominators(tau, n)
-        if log_w[-1] < log_w.max() - 60.0:
-            return math.exp(0.5 * _logsumexp(log_w))
-        if n >= 65536:
-            raise DivergenceError(f"{family} normalization series did not converge")
-        n *= 2
-
-
-def q_exponential(x: float, q: float) -> float:
-    """q-deformed exponential E_q(x) = sum x^n / [n]_q!.
-
-    Converges iff |x| (1 - q^2) < 1; outside that radius a
-    :class:`DivergenceError` is raised.
-    """
-    if not 0.0 < q <= 1.0:
-        raise ValidationError(f"q must lie in (0, 1], got {q}")
-    if q < 1.0 and abs(x) * (1.0 - q * q) >= 1.0 - _RADIUS_MARGIN:
-        raise DivergenceError(
-            f"E_q series diverges: |x|={abs(x)} >= 1/(1-q^2)={1/(1-q*q):.6g}"
-        )
-    total = 0.0
-    term = 1.0
-    for n in range(1, 100000):
-        total += term
-        term *= x / q_bracket(n, q)
-        if abs(term) < 1e-18 * max(abs(total), 1.0):
-            return total + term
-    raise DivergenceError("E_q series did not converge")  # pragma: no cover
-
-
-def _check_q_radius(alpha: complex, q: float, what: str):
+def _q_kernel(alpha: complex, q: float, what: str) -> Deformation:
+    """The q deformation, after checking that x = |alpha|^2 (1 - q^2) lies
+    inside the radius x < 1 that every q series shares."""
+    d = Deformation.q_deformed(q)
     lam = abs(alpha) ** 2
     if q < 1.0 and lam * (1.0 - q * q) >= 1.0 - _RADIUS_MARGIN:
         raise DivergenceError(
             f"{what}: |alpha|^2={lam:.6g} outside the convergence radius "
             f"1/(1-q^2)={1/(1-q*q):.6g}"
         )
+    return d
 
 
-def q_coherent(alpha: complex, q: float, n_max: int = DEFAULT_N_MAX, *,
-               tail_threshold: float = TAIL_THRESHOLD) -> FockState:
-    """q-deformed coherent state: amplitudes alpha^n / sqrt([n]_q!)."""
+def _q_series(alpha: complex, q: float, what: str = "q_coherent"):
+    """``logs`` of the q-coherent series alpha^n / sqrt([n]_q!)."""
     alpha = complex(alpha)
-    d = Deformation.q_deformed(q)
-    _check_q_radius(alpha, q, "q_coherent")
+    d = _q_kernel(alpha, q, what)
+    return lambda w: _power_series_logs(alpha, 0.5 * log_rho_table(d, w))
+
+
+def q_coherent(alpha: complex, q: float, n_max: int = DEFAULT_N_MAX) -> FockState:
+    """q-deformed coherent state: amplitudes alpha^n / sqrt([n]_q!)."""
     return _build_truncated(
-        lambda w: _power_series_logs(alpha, 0.5 * log_rho_table(d, w)),
-        n_max, tail_threshold, f"q_coherent(alpha={alpha}, q={q}, n_max={n_max})",
+        _q_series(alpha, q), n_max,
+        f"q_coherent(alpha={complex(alpha)}, q={q}, n_max={n_max})",
     )
+
+
+def q_normalization(alpha: complex, q: float) -> float:
+    """sqrt(E_q(|alpha|^2)) = sqrt(sum |alpha|^2n / [n]_q!), summed to convergence."""
+    return _series_norm(_q_series(alpha, q), "q-coherent")
 
 
 # ---------------------------------------------------------------------------
 # Gazeau-Klauder states
 # ---------------------------------------------------------------------------
 
-def gk_coherent(J: float, gamma: float, tau: float,
-                n_max: int = DEFAULT_N_MAX, *, basis: str = "perturbed",
-                tail_threshold: float = TAIL_THRESHOLD) -> FockState:
-    """Gazeau-Klauder state with action variable J and angle gamma.
-
-    Coefficients J^(n/2) exp(-i gamma e_n) / sqrt(rho_n); time evolution
-    is the shift gamma -> gamma + omega t.
-    """
+def _gk_series(J: float, gamma: float, tau: float):
+    """``logs`` of the Gazeau-Klauder series J^(n/2) exp(-i gamma e_n) / sqrt(rho_n)."""
     if J < 0:
         raise ValidationError("J must be >= 0")
-    _check_basis(basis)
+    d = Deformation.perturbative_nc(tau)
 
     def logs(w):
-        d = Deformation.perturbative_nc(tau)
         n = np.arange(w)
         phase = np.exp(-1j * gamma * dimensionless_e(d, n))
         if J == 0.0:
             return np.where(n == 0, 0.0, -math.inf), phase
         return 0.5 * n * math.log(J) - 0.5 * log_rho_table(d, w), phase
 
+    return logs
+
+
+def gk_coherent(J: float, gamma: float, tau: float,
+                n_max: int = DEFAULT_N_MAX, *, basis: str = "perturbed") -> FockState:
+    """Gazeau-Klauder state with action variable J and angle gamma.
+
+    Coefficients J^(n/2) exp(-i gamma e_n) / sqrt(rho_n); time evolution
+    is the shift gamma -> gamma + omega t.
+    """
+    logs = _gk_series(J, gamma, tau)
+    _check_basis(basis)
     return _build_truncated(
-        logs, n_max, tail_threshold,
-        f"gk_coherent(J={J}, gamma={gamma}, tau={tau}, basis={basis})",
+        logs, n_max, f"gk_coherent(J={J}, gamma={gamma}, tau={tau}, basis={basis})",
         tau=tau, basis=basis,
     )
 
 
 def gk_normalization(J: float, tau: float) -> float:
     """sqrt(sum J^n / rho_n), summed to convergence."""
-    if J < 0:
-        raise ValidationError("J must be >= 0")
     if J == 0.0:
         return 1.0
-    return _rho_series_norm(math.log(J), tau, "gk")
+    return _series_norm(_gk_series(J, 0.0, tau), "gk")
 
 
 # ---------------------------------------------------------------------------
@@ -571,8 +564,22 @@ def _squeezed_state_logs(alpha: complex, zeta: complex, d: Deformation,
                          nmax: int):
     """(log|c_n|, phase_n) of the squeezed series c_n = I(n) / (sqrt(n!) f(n)!)."""
     table = squeezed_coeffs_recurrence(alpha, zeta, d, nmax)
-    log_denom = 0.5 * log_factorial_table(nmax) + 0.5 * log_f_factorial_table(d, nmax)
-    return table.log_abs - log_denom, table.phase
+    return table.log_abs - 0.5 * log_rho_table(d, nmax), table.phase
+
+
+def _squeezed_series(alpha: complex, zeta: complex, d: Deformation, what: str):
+    """``logs`` of the squeezed series, which converges only for |zeta| < 1.
+
+    For f^2 affine in n, and so for the harmonic and nc kernels alike,
+    I(n+1) ~ -zeta n f^2(n) I(n-1) at large n, while
+    sqrt((n+1)!/(n-1)!) f(n+1)!/f(n-1)! ~ n f^2(n); so |c_{n+1}/c_{n-1}|
+    tends to |zeta|.
+    """
+    if abs(zeta) >= 1.0:
+        raise DivergenceError(
+            f"{what}: |zeta|={abs(zeta):.6g} outside the convergence radius 1"
+        )
+    return lambda w: _squeezed_state_logs(alpha, zeta, d, w)
 
 
 def squeezed_normalization(alpha: complex, zeta: complex, d: Deformation,
@@ -582,18 +589,15 @@ def squeezed_normalization(alpha: complex, zeta: complex, d: Deformation,
 
 
 def nc_squeezed(alpha: complex, zeta: complex, tau: float,
-                n_max: int = DEFAULT_N_MAX, *, basis: str = "perturbed",
-                tail_threshold: float = TAIL_THRESHOLD) -> FockState:
+                n_max: int = DEFAULT_N_MAX, *, basis: str = "perturbed") -> FockState:
     """Squeezed state of the minimal-length oscillator.
 
     ``zeta=0`` reduces to ``nlcs``; ``tau=0`` reduces to ``ho_squeezed``.
     """
     _check_basis(basis)
-    if tau < 0:
-        raise ValidationError("tau must be >= 0")
     d = Deformation.perturbative_nc(tau)
     return _build_truncated(
-        lambda w: _squeezed_state_logs(alpha, zeta, d, w), n_max, tail_threshold,
+        _squeezed_series(alpha, zeta, d, "nc_squeezed"), n_max,
         f"nc_squeezed(alpha={alpha}, zeta={zeta}, tau={tau}, "
         f"basis={basis}, n_max={n_max})",
         tau=tau, basis=basis,
@@ -601,26 +605,20 @@ def nc_squeezed(alpha: complex, zeta: complex, tau: float,
 
 
 def ho_squeezed(alpha: complex, zeta: complex,
-                n_max: int = DEFAULT_N_MAX, *,
-                tail_threshold: float = TAIL_THRESHOLD) -> FockState:
+                n_max: int = DEFAULT_N_MAX) -> FockState:
     """Squeezed state of the undeformed oscillator.
 
     Amplitudes I(n) / sqrt(n!) from the squeezed recurrence at f^2 = 1,
     where I(n) = (zeta/2)^(n/2) H_n(alpha / sqrt(2 zeta)); ``zeta=0``
-    delegates to :func:`glauber`.  The series converges for |zeta| < 1.
+    delegates to :func:`glauber`.
     """
     alpha = complex(alpha)
     zeta = complex(zeta)
-    if abs(zeta) >= 1.0:
-        raise DivergenceError(
-            f"ho_squeezed: |zeta|={abs(zeta):.6g} outside the convergence radius 1"
-        )
+    logs = _squeezed_series(alpha, zeta, Deformation.harmonic(), "ho_squeezed")
     if zeta == 0:
-        return glauber(alpha, n_max, tail_threshold=tail_threshold)
-    d = Deformation.harmonic()
+        return glauber(alpha, n_max)
     return _build_truncated(
-        lambda w: _squeezed_state_logs(alpha, zeta, d, w), n_max, tail_threshold,
-        f"ho_squeezed(alpha={alpha}, zeta={zeta}, n_max={n_max})",
+        logs, n_max, f"ho_squeezed(alpha={alpha}, zeta={zeta}, n_max={n_max})",
     )
 
 
@@ -628,59 +626,50 @@ def ho_squeezed(alpha: complex, zeta: complex,
 # cat and photon-added states
 # ---------------------------------------------------------------------------
 
-def cat_q(alpha: complex, q: float, parity: str,
-          n_max: int = DEFAULT_N_MAX, *,
-          tail_threshold: float = TAIL_THRESHOLD) -> FockState:
-    """Even/odd superposition of q-deformed coherent states at +-alpha."""
+def _cat_series(alpha: complex, q: float, parity: str):
+    """``logs`` of the cat series: the q-coherent series on levels of one parity."""
     if parity not in ("even", "odd"):
         raise ValidationError(f"parity must be 'even' or 'odd', got {parity!r}")
-    alpha = complex(alpha)
-    if parity == "odd" and alpha == 0:
-        raise DegenerateStateError("odd cat state of alpha = 0 is the zero vector")
-    d = Deformation.q_deformed(q)
-    _check_q_radius(alpha, q, "cat_q")
+    coherent = _q_series(alpha, q, "cat_q")
     keep = 0 if parity == "even" else 1
 
     def logs(w):
-        log_abs, phase = _power_series_logs(alpha, 0.5 * log_rho_table(d, w))
-        log_abs = log_abs.copy()
+        log_abs, phase = coherent(w)
         log_abs[(np.arange(w) % 2) != keep] = -math.inf
         return log_abs, phase
 
+    return logs
+
+
+def cat_q(alpha: complex, q: float, parity: str,
+          n_max: int = DEFAULT_N_MAX) -> FockState:
+    """Even/odd superposition of q-deformed coherent states at +-alpha."""
+    if parity == "odd" and complex(alpha) == 0:
+        raise DegenerateStateError("odd cat state of alpha = 0 is the zero vector")
     return _build_truncated(
-        logs, n_max, tail_threshold,
-        f"cat_q(alpha={alpha}, q={q}, parity={parity}, n_max={n_max})",
+        _cat_series(alpha, q, parity), n_max,
+        f"cat_q(alpha={complex(alpha)}, q={q}, parity={parity}, n_max={n_max})",
     )
 
 
 def cat_norm_sq(alpha: complex, q: float, parity: str) -> float:
     """Squared norm of |alpha>_q +- |-alpha>_q built from *normalized* inputs.
 
-    Equals 2 (1 +- E_q(-|alpha|^2)/E_q(|alpha|^2)); at q = 1 this is the
-    familiar 2 (1 +- exp(-2 |alpha|^2)).
+    Equals 4 (||cat series|| / ||q-coherent series||)^2, that is
+    2 (1 +- E_q(-|alpha|^2)/E_q(|alpha|^2)) without the cancellation of the
+    odd sign at small |alpha|; at q = 1 this is 2 (1 +- exp(-2 |alpha|^2)).
     """
-    if parity not in ("even", "odd"):
-        raise ValidationError(f"parity must be 'even' or 'odd', got {parity!r}")
-    lam = abs(complex(alpha)) ** 2
-    overlap = q_exponential(-lam, q) / q_exponential(lam, q)
-    return 2.0 * (1.0 + overlap) if parity == "even" else 2.0 * (1.0 - overlap)
+    cat = _series_norm(_cat_series(alpha, q, parity), "cat")
+    return 4.0 * (cat / q_normalization(alpha, q)) ** 2
 
 
-def pacs_q(alpha: complex, q: float, m: int,
-           n_max: int = DEFAULT_N_MAX, *,
-           tail_threshold: float = TAIL_THRESHOLD) -> FockState:
-    """m-photon-added q-deformed coherent state.
-
-    Amplitudes proportional to alpha^n sqrt([n+m]_q!) / [n]_q! on level
-    n + m; support starts at level m.
-    """
+def _pacs_series(alpha: complex, q: float, m: int):
+    """``logs`` of the m-photon-added series alpha^n sqrt([n+m]_q!) / [n]_q!
+    on level n + m."""
     if m < 0:
         raise ValidationError("photon-added count m must be >= 0")
-    if n_max <= m:
-        raise ValidationError(f"pacs_q needs n_max > m (m={m}, n_max={n_max})")
     alpha = complex(alpha)
-    d = Deformation.q_deformed(q)
-    _check_q_radius(alpha, q, "pacs_q")
+    d = _q_kernel(alpha, q, "pacs_q")
     arg = cmath.phase(alpha) if alpha != 0 else 0.0
     mag = abs(alpha)
 
@@ -698,31 +687,29 @@ def pacs_q(alpha: complex, q: float, m: int,
             phase[ks] = np.exp(1j * arg * ns)
         return log_abs, phase
 
+    return logs
+
+
+def pacs_q(alpha: complex, q: float, m: int,
+           n_max: int = DEFAULT_N_MAX) -> FockState:
+    """m-photon-added q-deformed coherent state.
+
+    Amplitudes proportional to alpha^n sqrt([n+m]_q!) / [n]_q! on level
+    n + m; support starts at level m.
+    """
+    logs = _pacs_series(alpha, q, m)
+    if n_max <= m:
+        raise ValidationError(f"pacs_q needs n_max > m (m={m}, n_max={n_max})")
     return _build_truncated(
-        logs, n_max, tail_threshold, f"pacs_q(alpha={alpha}, q={q}, m={m}, n_max={n_max})"
+        logs, n_max, f"pacs_q(alpha={complex(alpha)}, q={q}, m={m}, n_max={n_max})"
     )
 
 
 def pacs_norm_sq(alpha: complex, q: float, m: int) -> float:
     """Squared normalization of the photon-added state relative to the
     underlying coherent state: sum |alpha|^2n [n+m]_q!/([n]_q!)^2 / E_q(|alpha|^2)."""
-    if m < 0:
-        raise ValidationError("photon-added count m must be >= 0")
-    lam = abs(complex(alpha)) ** 2
-    _check_q_radius(complex(alpha), q, "pacs_norm_sq")
-    total = 0.0
-    # direct summation; radius identical to the coherent series
-    term = math.exp(sum(math.log(q_bracket(k, q)) for k in range(1, m + 1)))
-    lam_pow = 1.0
-    for n in range(100000):
-        total += lam_pow * term
-        nxt = n + 1
-        term *= q_bracket(nxt + m, q) / (q_bracket(nxt, q) ** 2)
-        lam_pow *= lam
-        if lam_pow * term < 1e-18 * max(total, 1.0):
-            total += lam_pow * term
-            break
-    return total / q_exponential(lam, q)
+    pacs = _series_norm(_pacs_series(alpha, q, m), "pacs")
+    return (pacs / q_normalization(alpha, q)) ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -755,7 +742,7 @@ FAMILIES = {
     "nlcs": Family("nc", ("tau",), lambda p, n: nlcs(p.alpha, p.tau, n, basis=p.basis),
                    lambda p, n: nlcs_normalization(p.alpha, p.tau)),
     "q-coherent": Family("q", ("q",), lambda p, n: q_coherent(p.alpha, p.q, n),
-                         lambda p, n: math.sqrt(q_exponential(abs(p.alpha) ** 2, p.q))),
+                         lambda p, n: q_normalization(p.alpha, p.q)),
     "gk": Family("nc", ("tau", "J"),
                  lambda p, n: gk_coherent(p.J, p.gamma, p.tau, n, basis=p.basis),
                  lambda p, n: gk_normalization(p.J, p.tau)),

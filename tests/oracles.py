@@ -1,18 +1,45 @@
-"""Reference helpers that only the tests use: direct products and
-recurrences for q-factorials, rising factorials, Hermite polynomials,
-Bessel K, f^2(n)!, rho_n and the level energies.  The library itself
-reads the cached log tables of ``defock.specfun`` and ``defock.deform``;
-these are the plain forms the tests check those against."""
+"""Reference helpers that only the tests use: the q-integer, direct
+products and recurrences for q-factorials, the q-exponential, rising
+factorials, Hermite polynomials, Bessel K, f^2(n)!, rho_n and the level
+energies.  The library itself reads the cached log tables of
+``defock.specfun`` and ``defock.deform``; these are the plain forms the
+tests check those against."""
 
 import math
 
+import mpmath as mp
 import numpy as np
 
 from defock.deform import Deformation, dimensionless_e, log_f_factorial_table, log_rho
-from defock.errors import ValidationError
-from defock.specfun import bessel_k_log, q_bracket
+from defock.errors import DivergenceError, ValidationError
+from defock.specfun import bessel_k_log
+from defock.states import _RADIUS_MARGIN
 
 _LOG_DBL_MAX = math.log(np.finfo(float).max)
+
+
+def q_bracket(n: int, q: float) -> float:
+    """q-integer [n] = (1 - q^(2n)) / (1 - q^2), with [n] -> n as q -> 1.
+
+    Parameters
+    ----------
+    n : nonnegative int
+    q : float in (0, 1]
+
+    The q = 1 value is returned by an explicit limit branch; near q = 1
+    the ratio is evaluated with ``expm1`` so the 0/0 cancellation is
+    harmless.
+    """
+    if n < 0:
+        raise ValidationError(f"q_bracket needs n >= 0, got {n}")
+    if not 0.0 < q <= 1.0:
+        raise ValidationError(f"q_bracket needs 0 < q <= 1, got {q}")
+    if q == 1.0:
+        return float(n)
+    if n == 0:
+        return 0.0
+    lq = math.log(q)
+    return math.expm1(2.0 * n * lq) / math.expm1(2.0 * lq)
 
 
 def q_factorial(n: int, q: float) -> float:
@@ -30,6 +57,28 @@ def q_log_factorial(n: int, q: float) -> float:
     for k in range(1, n + 1):
         total += math.log(q_bracket(k, q))
     return total
+
+
+def q_exponential(x: float, q: float) -> float:
+    """q-deformed exponential E_q(x) = sum x^n / [n]_q!.
+
+    Converges iff |x| (1 - q^2) < 1; outside that radius a
+    :class:`DivergenceError` is raised.
+    """
+    if not 0.0 < q <= 1.0:
+        raise ValidationError(f"q must lie in (0, 1], got {q}")
+    if q < 1.0 and abs(x) * (1.0 - q * q) >= 1.0 - _RADIUS_MARGIN:
+        raise DivergenceError(
+            f"E_q series diverges: |x|={abs(x)} >= 1/(1-q^2)={1/(1-q*q):.6g}"
+        )
+    total = 0.0
+    term = 1.0
+    for n in range(1, 100000):
+        total += term
+        term *= x / q_bracket(n, q)
+        if abs(term) < 1e-18 * max(abs(total), 1.0):
+            return total + term
+    raise DivergenceError("E_q series did not converge")  # pragma: no cover
 
 
 def pochhammer(x: float, n: int) -> float:
@@ -95,3 +144,42 @@ def energy_level(d: Deformation, n: int, omega: float, hbar: float = 1.0) -> flo
     if omega <= 0 or hbar <= 0:
         raise ValidationError("energy_level needs omega > 0 and hbar > 0")
     return hbar * omega * dimensionless_e(d, n)
+
+
+def summed_norm(family: str, p) -> float:
+    """The normalization constant ``FAMILIES[family].norm`` reports for the
+    families whose series is summed to convergence (nlcs, gk, q-coherent,
+    cat, pacs), from the raw weights |c_n|^2 summed at 40 digits.
+
+    ``p`` carries the options as attributes (``alpha`` as one complex).
+    Past its peak every series here has a falling term ratio, so the sum
+    stops once a term is below 1e-50 of each partial sum.
+    """
+    with mp.workdps(40):
+        if family in ("nlcs", "gk"):
+            tau = mp.mpf(p.tau)
+            level = lambda k: (1 + tau / 2) * k + tau / 2 * k * k  # noqa: E731
+        else:
+            q2 = mp.mpf(p.q) ** 2
+            level = (lambda k: (1 - q2 ** k) / (1 - q2)) if q2 < 1 else mp.mpf
+        x = mp.mpf(p.J) if family == "gk" else abs(mp.mpc(p.alpha)) ** 2
+        m = p.m if family == "pacs" else 0
+        # coherent weight x^n / [n]!, and the photon-added factor [n+m]! / [n]!
+        term, added = mp.mpf(1), mp.fprod(level(k) for k in range(1, m + 1))
+        even, odd, pacs = mp.mpf(0), mp.mpf(0), mp.mpf(0)
+        n = 0
+        while n == 0 or term * added >= 1e-50 * min(s for s in (even, odd, pacs) if s > 0):
+            if n % 2:
+                odd += term
+            else:
+                even += term
+            pacs += term * added
+            n += 1
+            term *= x / level(n)
+            added *= level(n + m) / level(n)
+        total = even + odd
+        if family == "cat":
+            return float(mp.sqrt(4 * (even if p.parity == "even" else odd) / total))
+        if family == "pacs":
+            return float(mp.sqrt(pacs / total))
+        return float(mp.sqrt(total))

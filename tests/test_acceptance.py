@@ -62,8 +62,8 @@ def test_c01_revival_times():
     t0 = time.perf_counter()
     reps = 50
     for _ in range(reps):
-        rt_a = revival_times(1.5, 0.1, 0.5, nbar_rule="explicit", nbar=2.0)
-        rt_b = revival_times(6.0, 0.01, 0.5, nbar_rule="explicit", nbar=2.0)
+        rt_a = revival_times(1.5, 0.1, 0.5, nbar=2.0)
+        rt_b = revival_times(6.0, 0.01, 0.5, nbar=2.0)
     per_call = (time.perf_counter() - t0) / (2 * reps)
     ok = (
         abs(rt_a.t_rev - 251.32) <= 0.01
@@ -80,7 +80,7 @@ def test_c01_revival_times():
 
 def test_c02_autocorrelation_structure():
     J, tau, omega = 1.5, 0.1, 0.5
-    rt = revival_times(J, tau, omega, nbar_rule="mean")
+    rt = revival_times(J, tau, omega)
     t0 = time.perf_counter()
     t = np.linspace(0.0, 260.0, 10_000)
     a = gk_autocorrelation(J, 0.0, tau, omega, t)

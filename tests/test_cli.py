@@ -67,6 +67,17 @@ def test_ho_squeezed_outside_radius_exit_3(tmp_path, capsys):
     )
 
 
+def test_nc_squeezed_outside_radius_exit_3(tmp_path, capsys):
+    code = run([
+        "state", "--family", "nc-squeezed", "--tau", "0.1", "--zeta", "1.5",
+        "--alpha-re", "1", "--out", str(tmp_path),
+    ])
+    assert code == 3
+    assert capsys.readouterr().err == (
+        "divergence error: nc_squeezed: |zeta|=1.5 outside the convergence radius 1\n"
+    )
+
+
 def test_metrics_q_coherent(tmp_path, capsys):
     code = run([
         "metrics", "--family", "q-coherent", "--q", "0.9", "--alpha-re", "1",
@@ -208,6 +219,12 @@ def test_measure_check_tolerance_exit_4(tmp_path):
 def test_unknown_flags_exit_2(tmp_path):
     assert run(["state", "--family", "glauber", "--bogus", "1"]) == 2
     assert run(["nonsense"]) == 2
+
+
+def test_mass_is_not_an_option(tmp_path, capsys):
+    # no command reads a mass, so --mass is refused like any unknown option
+    assert run(["state", "--family", "glauber", "--mass", "3", "--out", str(tmp_path)]) == 2
+    assert "unrecognized arguments: --mass 3" in capsys.readouterr().err
 
 
 def test_config_merge(tmp_path, capsys):
@@ -449,7 +466,7 @@ def test_tracer_counts_one_build_per_state_job_and_scan_point(tmp_path):
     assert top == sorted(
         f"states.{name}" for name in (
             "glauber", "nlcs", "q_coherent", "gk_coherent", "nc_squeezed", "ho_squeezed",
-            "cat_q", "pacs_q", "nlcs_normalization", "q_exponential", "gk_normalization",
+            "cat_q", "pacs_q", "nlcs_normalization", "q_normalization", "gk_normalization",
             "squeezed_normalization", "cat_norm_sq", "pacs_norm_sq",
         )
     )

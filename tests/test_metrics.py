@@ -76,7 +76,7 @@ def test_raise_headroom_guard():
 def test_ladder_weights_are_sqrt_of_levels():
     d = Deformation.q_deformed(0.8)
     w = ladder_weights(d, 6)
-    from defock.specfun import q_bracket
+    from oracles import q_bracket
 
     for n in range(6):
         assert w[n] == pytest.approx(math.sqrt(q_bracket(n, 0.8)), rel=1e-13)
@@ -372,7 +372,7 @@ def test_fractional_revival_structure():
     # small deformation, large J: partial reconstructions at p/q of the
     # revival time with heights ~1/q, full reconstruction at t_rev/2
     J, tau, omega = 6.0, 0.01, 0.5
-    rt = revival_times(J, tau, omega, nbar_rule="mean")
+    rt = revival_times(J, tau, omega)
     heights = {}
     for frac in (0.25, 1.0 / 3.0, 0.5):
         center = frac * rt.t_rev
@@ -446,13 +446,13 @@ def test_revival_times_values():
     assert rt.t_rev == pytest.approx(251.327, abs=0.001)
     rt2 = revival_times(6.0, 0.01, 0.5)
     assert rt2.t_rev == pytest.approx(2513.27, abs=0.01)
-    rt3 = revival_times(1.0, 0.1, 0.5, nbar_rule="explicit", nbar=2.0)
+    rt3 = revival_times(1.0, 0.1, 0.5, nbar=2.0)
     assert rt3.t_cl == pytest.approx(2.0 * math.pi / (0.5 * 1.25), rel=1e-12)
 
 
 def test_revival_time_invariant_under_nbar_rule():
-    a = revival_times(1.5, 0.1, 0.5, nbar_rule="mean")
-    b = revival_times(1.5, 0.1, 0.5, nbar_rule="explicit", nbar=17.0)
+    a = revival_times(1.5, 0.1, 0.5)
+    b = revival_times(1.5, 0.1, 0.5, nbar=17.0)
     assert a.t_rev == b.t_rev
 
 
@@ -464,9 +464,7 @@ def test_revival_times_harmonic_limit_flagged_infinite():
 
 def test_revival_times_validation():
     with pytest.raises(ValidationError):
-        revival_times(0.0, 0.1, 0.5, nbar_rule="mean")
-    with pytest.raises(ValidationError):
-        revival_times(1.0, 0.1, 0.5, nbar_rule="explicit")
+        revival_times(0.0, 0.1, 0.5)
     with pytest.raises(ValidationError):
         revival_times(1.0, 0.1, -0.5)
 

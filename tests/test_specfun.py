@@ -13,9 +13,8 @@ from defock.specfun import (
     gauss_2f1_terminating,
     log_factorial_table,
     log_gamma,
-    q_bracket,
 )
-from oracles import bessel_k, hermite, pochhammer, q_factorial, q_log_factorial
+from oracles import bessel_k, hermite, pochhammer, q_bracket, q_factorial, q_log_factorial
 
 
 # ---------------------------------------------------------------- q-brackets

@@ -1,8 +1,12 @@
 import cmath
 import math
+import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from defock.deform import Deformation, log_rho_table
 from defock.errors import (
@@ -12,6 +16,7 @@ from defock.errors import (
     ValidationError,
 )
 from defock.states import (
+    FAMILIES,
     MAX_N_MAX,
     FockState,
     cat_q,
@@ -28,12 +33,12 @@ from defock.states import (
     pacs_norm_sq,
     phi_eigenstate,
     q_coherent,
-    q_exponential,
+    q_normalization,
     squeezed_coeff_closed_form,
     squeezed_coeffs_recurrence,
     squeezed_normalization,
 )
-from oracles import f_factorial_squared
+from oracles import f_factorial_squared, q_exponential, summed_norm
 
 HARMONIC = Deformation.harmonic()
 
@@ -490,6 +495,33 @@ def test_ho_squeezed_outside_radius_fails_before_any_build(monkeypatch, zeta):
         ho_squeezed(1.0, zeta)
 
 
+@pytest.mark.parametrize("tau", [0.0, 0.1])
+@pytest.mark.parametrize("zeta", [1.5, 1.0, -1.0, 0.6 + 0.8j, 2j])
+def test_nc_squeezed_outside_radius_fails_before_any_build(monkeypatch, zeta, tau):
+    import defock.states as states
+
+    def no_recurrence(*args):
+        raise AssertionError("the squeezed recurrence ran")
+
+    monkeypatch.setattr(states, "squeezed_coeffs_recurrence", no_recurrence)
+    for basis in ("bare", "perturbed"):
+        with pytest.raises(DivergenceError,
+                           match=r"^nc_squeezed: \|zeta\|=.* outside the convergence radius 1$"):
+            nc_squeezed(1.0, zeta, tau, basis=basis)
+
+
+@pytest.mark.parametrize("tau", [0.05, 2.0])
+@pytest.mark.parametrize("zeta", [0.9, 1.1])
+def test_nc_squeezed_coefficient_ratio_tends_to_zeta(tau, zeta):
+    # |c_{n+1} / c_{n-1}| -> |zeta| for f^2 affine in n, so the radius is 1
+    from defock.states import _squeezed_state_logs
+
+    log_c = _squeezed_state_logs(1.0, zeta, Deformation.perturbative_nc(tau), 4002)[0]
+    # geometric mean of the two-level ratio over levels 3980 .. 4000
+    ratio = math.exp((log_c[4001] - log_c[3981]) / 10.0)
+    assert ratio == pytest.approx(zeta, abs=0.005)
+
+
 def test_squeezed_normalization_helper():
     d = Deformation.perturbative_nc(0.1)
     val = squeezed_normalization(1.0, 0.25, d, 64)
@@ -602,3 +634,71 @@ def test_from_json_malformed():
         FockState.from_json("{not json")
     with pytest.raises(ValidationError):
         FockState.from_json('{"label": "x", "n_max": 3, "tail_mass": 0, "amps": [[1,0]]}')
+
+
+# ------------------------------------------------- summed normalizations
+
+_NORM_PROPERTY = settings(database=None, derandomize=True, deadline=None, max_examples=60)
+
+
+def _assert_norm_matches_raw_series(family, **opts):
+    p = SimpleNamespace(**opts)
+    assert FAMILIES[family].norm(p, 64) == pytest.approx(summed_norm(family, p), rel=1e-13)
+
+
+@_NORM_PROPERTY
+@given(mag=st.floats(0.0, 6.0), arg=st.floats(-math.pi, math.pi), tau=st.floats(0.0, 0.5))
+def test_nlcs_norm_matches_raw_series(mag, arg, tau):
+    _assert_norm_matches_raw_series("nlcs", alpha=cmath.rect(mag, arg), tau=tau)
+
+
+@_NORM_PROPERTY
+@given(J=st.floats(0.0, 40.0), tau=st.floats(0.0, 0.5))
+def test_gk_norm_matches_raw_series(J, tau):
+    _assert_norm_matches_raw_series("gk", J=J, tau=tau)
+
+
+@_NORM_PROPERTY
+@given(family=st.sampled_from(("q-coherent", "cat", "pacs")),
+       q=st.one_of(st.just(1.0), st.floats(0.5, 0.98)), mag=st.floats(0.0, 6.0),
+       arg=st.floats(-math.pi, math.pi), parity=st.sampled_from(("even", "odd")),
+       m=st.integers(0, 5))
+@example(family="cat", q=0.9, mag=1e-4, arg=0.0, parity="odd", m=0)
+@example(family="cat", q=0.9, mag=3e-5, arg=0.0, parity="odd", m=0)
+def test_q_family_norms_match_raw_series(family, q, mag, arg, parity, m):
+    # up to x = |alpha|^2 (1 - q^2) = 0.95, inside the radius x < 1
+    if q < 1.0:
+        mag = min(mag, math.sqrt(0.95 / (1.0 - q * q)))
+    if family == "cat" and parity == "odd" and mag == 0.0:
+        return  # the zero vector; cat_q refuses it
+    _assert_norm_matches_raw_series(family, alpha=cmath.rect(mag, arg), q=q,
+                                    parity=parity, m=m)
+
+
+def test_summed_norms_stop_at_eight_times_max_n_max():
+    from defock.specfun import _log_factorials
+    from defock.states import _series_norm
+
+    lengths = []
+
+    def flat(w):
+        lengths.append(w)
+        return np.zeros(w), np.ones(w)
+
+    with pytest.raises(DivergenceError, match="^flat normalization series did not converge$"):
+        _series_norm(flat, "flat")
+    assert lengths == [128, 256, 512, 1024, 2048, 8 * MAX_N_MAX]
+    _log_factorials.cache_clear()  # time the factorial table this call needs, too
+    start = time.perf_counter()
+    with pytest.raises(DivergenceError, match="^nlcs normalization series did not converge$"):
+        nlcs_normalization(1e6, 0.0)
+    assert time.perf_counter() - start < 0.5
+    # the q edge of the command line: x = 0.95 at q = 0.9 fits in 512 levels
+    q = 0.9
+    alpha = math.sqrt(0.95 / (1.0 - q * q))
+    assert q_coherent(alpha, q, MAX_N_MAX).n_max == MAX_N_MAX
+    for family, parity in (("q-coherent", "even"), ("cat", "even"), ("cat", "odd"),
+                           ("pacs", "even")):
+        _assert_norm_matches_raw_series(family, alpha=complex(alpha), q=q, parity=parity, m=2)
+    assert q_normalization(alpha, q) == pytest.approx(
+        math.sqrt(q_exponential(alpha ** 2, q)), rel=1e-13)
