@@ -22,7 +22,6 @@ from .beamsplitter import (
     linear_entropy,
     linear_entropy_closed_form,
     partial_trace,
-    split_fock,
     von_neumann_entropy,
 )
 from .deform import Deformation, SpectrumCoeffs
@@ -58,7 +57,6 @@ from .metrics import (
     xp_uncertainty,
 )
 from .states import (
-    CoeffTable,
     FockState,
     cat_q,
     gk_coherent,
@@ -69,7 +67,6 @@ from .states import (
     pacs_q,
     phi_eigenstate,
     q_coherent,
-    squeezed_coeff_closed_form,
     squeezed_coeffs_recurrence,
 )
 

@@ -29,7 +29,6 @@ __all__ = [
     "BeamSplitter",
     "TwoModeState",
     "DensityMatrix",
-    "split_fock",
     "apply_beamsplitter",
     "partial_trace",
     "linear_entropy",
@@ -154,21 +153,6 @@ def _transform_matrix(c: np.ndarray, t: float, r) -> np.ndarray:
     r = r.real if r.imag == 0 else r
     padded = np.concatenate([c, np.zeros(n - 1, dtype=c.dtype)])
     return _hankel(padded, n) * _splitter_kernel(n, t, r)
-
-
-def split_fock(n: int, bs: BeamSplitter):
-    """Amplitudes of a number state through the splitter with vacuum at
-    the second input: sum_q sqrt(C(n,q)) t^q r^(n-q) |q>_c |n-q>_d.
-
-    Returns a list of (q, coefficient).
-    """
-    if n < 0:
-        raise ValidationError("photon number must be >= 0")
-    ql = np.arange(n + 1)
-    lf = log_factorial_table(n + 1)
-    binom_half = np.exp(0.5 * (lf[n] - lf - lf[::-1]))
-    coeff = binom_half * (bs.t ** ql) * (bs.r ** (n - ql))
-    return list(zip(ql.tolist(), coeff.tolist()))
 
 
 def apply_beamsplitter(state: FockState, bs: BeamSplitter) -> TwoModeState:

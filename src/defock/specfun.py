@@ -1,6 +1,5 @@
 """Special-function kernels for the state constructors and the measure check.
 
-Terminating Gauss hypergeometric sums are written out here.
 ``log_gamma`` is the C library's ``lgamma`` (via ``math``), and
 ``log_factorial_table`` is one cached table, the ``math.log`` of each
 exact integer k!, that every factorial-weighted series reads.  The
@@ -10,7 +9,7 @@ q-integer [n]_q lives in one place, ``deform.f_squared``.
 
 Importing this module loads neither scipy nor mpmath: ``kve`` is
 imported on the first ``bessel_k_log`` call (only ``measure-check``
-makes one), and mpmath inside the two functions that use it.
+makes one), and mpmath only inside its overflow fallback.
 
 All functions are pure and reentrant.
 """
@@ -25,41 +24,10 @@ import numpy as np
 from .errors import ValidationError
 
 __all__ = [
-    "gauss_2f1_terminating",
     "bessel_k_log",
     "log_gamma",
     "log_factorial_table",
 ]
-
-
-def gauss_2f1_terminating(n: int, b: complex, c: float, z: float) -> complex:
-    """Terminating 2F1(-n, b; c; z) = sum_{k=0..n} (-n)_k (b)_k z^k / ((c)_k k!).
-
-    The finite sum suffers catastrophic cancellation in double precision
-    (loss of ~16 digits already at n = 30 for the parameter ranges used
-    by the squeezed-state closed form), so terms are accumulated with
-    mpmath at a working precision that grows with n.  The result is
-    rounded back to a complex double.
-    """
-    if n < 0:
-        raise ValidationError(f"gauss_2f1_terminating needs n >= 0, got {n}")
-    c = float(c)
-    if c <= 0 and c == int(c) and c >= -n:
-        raise ValidationError(
-            f"gauss_2f1_terminating: c={c} is a nonpositive integer >= -n"
-        )
-    import mpmath as mp
-
-    with mp.workdps(35 + int(0.9 * n)):
-        bb = mp.mpc(b)
-        cc = mp.mpf(c)
-        zz = mp.mpf(z)
-        total = mp.mpc(1)
-        term = mp.mpc(1)
-        for k in range(n):
-            term *= (-(n - k)) * (bb + k) * zz / ((cc + k) * (k + 1))
-            total += term
-        return complex(total)
 
 
 def log_gamma(x: float) -> float:

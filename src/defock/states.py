@@ -2,9 +2,9 @@
 
 All constructors return a normalized :class:`FockState` together with an
 estimate of the probability mass lost to truncation.  Raw coefficient
-series are assembled in log-magnitude + phase form (:class:`CoeffTable`)
-so factorially growing moment sequences stay representable, and are only
-exponentiated relative to their running maximum.
+series are assembled as a ``(log|c_n|, phase_n)`` pair, so factorially
+growing moment sequences stay representable, and are only exponentiated
+relative to their largest magnitude.
 
 Two representations are available for the minimal-length families
 (``nlcs``, ``gk_coherent``, ``nc_squeezed``):
@@ -58,7 +58,6 @@ from .specfun import log_factorial_table
 
 __all__ = [
     "FockState",
-    "CoeffTable",
     "DEFAULT_N_MAX",
     "MAX_N_MAX",
     "TAIL_THRESHOLD",
@@ -72,7 +71,6 @@ __all__ = [
     "gk_coherent",
     "gk_normalization",
     "squeezed_coeffs_recurrence",
-    "squeezed_coeff_closed_form",
     "squeezed_normalization",
     "nc_squeezed",
     "ho_squeezed",
@@ -146,39 +144,11 @@ class FockState:
             raise ValidationError(f"malformed state document: {exc}") from exc
 
 
-class CoeffTable:
-    """Raw coefficient sequence in log-magnitude + phase form.
-
-    ``normalization`` is the l2 norm of the raw sequence; ``amplitudes``
-    returns the normalized complex vector.
-    """
-
-    def __init__(self, log_abs, phase):
-        self.log_abs = np.asarray(log_abs, dtype=float)
-        self.phase = np.asarray(phase, dtype=complex)
-        if self.log_abs.shape != self.phase.shape:
-            raise ValidationError("log_abs and phase must have equal length")
-
-    def __len__(self):
-        return len(self.log_abs)
-
-    @property
-    def log_norm_sq(self) -> float:
-        return _logsumexp(2.0 * self.log_abs)
-
-    @property
-    def normalization(self) -> float:
-        return math.exp(0.5 * self.log_norm_sq)
-
-    def scaled_values(self) -> np.ndarray:
-        """Raw coefficients divided by the largest magnitude (overflow-safe)."""
-        finite = self.log_abs[np.isfinite(self.log_abs)]
-        top = finite.max() if finite.size else 0.0
-        return np.exp(self.log_abs - top) * self.phase
-
-    def amplitudes(self) -> np.ndarray:
-        vals = self.scaled_values()
-        return vals / np.linalg.norm(vals)
+def _scaled_values(log_abs: np.ndarray, phase: np.ndarray) -> np.ndarray:
+    """Raw coefficients divided by the largest magnitude (overflow-safe)."""
+    finite = log_abs[np.isfinite(log_abs)]
+    top = finite.max() if finite.size else 0.0
+    return np.exp(log_abs - top) * phase
 
 
 def _logsumexp(logs: np.ndarray) -> float:
@@ -240,7 +210,7 @@ def _build_truncated(logs, n_max, label, *, tau=None, basis="bare"):
     n = int(n_max)
     while True:
         log_abs, phase = logs(n + guard + _TAIL_PAD)
-        u = CoeffTable(log_abs[:n + guard], phase[:n + guard]).scaled_values()
+        u = _scaled_values(log_abs[:n + guard], phase[:n + guard])
         amps = _phi_dress(u, tau) if basis == "perturbed" else u[:n]
         tail = _tail_mass(2.0 * log_abs, n)
         if tail <= TAIL_THRESHOLD:
@@ -385,7 +355,7 @@ def nc_coherent_coeffs(alpha: complex, tau: float, n_max: int) -> np.ndarray:
     common (irrelevant) scale factor.
     """
     logs = _nlcs_series(alpha, tau)(n_max + 4)
-    return _phi_dress(CoeffTable(*logs).scaled_values(), tau)
+    return _phi_dress(_scaled_values(*logs), tau)
 
 
 def nlcs_normalization(alpha: complex, tau: float) -> float:
@@ -476,12 +446,13 @@ def gk_normalization(J: float, tau: float) -> float:
 
 def squeezed_coeffs_recurrence(alpha: complex, zeta: complex,
                                deformation: Deformation,
-                               n_max: int) -> CoeffTable:
-    """Squeezed-series seed values by the three-term recurrence.
+                               n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Squeezed-series seed values by the three-term recurrence, as the
+    pair ``(log|I(n)|, phase of I(n))`` for n = 0 .. n_max-1.
 
     I(0) = 1, I(1) = alpha, I(n+1) = alpha I(n) - zeta n f^2(n) I(n-1).
     Values are rescaled in place whenever they threaten the double range,
-    with the accumulated log-scale folded into the returned table.
+    with the accumulated log-scale folded into the returned logs.
     """
     if n_max < 2:
         raise ValidationError("n_max must be >= 2")
@@ -513,58 +484,14 @@ def squeezed_coeffs_recurrence(alpha: complex, zeta: complex,
             cur /= top
             offset += math.log(top)
         record(n + 1, cur, offset)
-    return CoeffTable(log_abs, phase)
-
-
-def squeezed_coeff_closed_form(alpha: complex, zeta: complex, tau: float,
-                               n: int) -> complex:
-    """Closed form for the squeezed seed I(alpha, zeta, n) at tau > 0.
-
-    i^n (zeta B)^(n/2) (1 + A/B)^(n) 2F1(-n, 1/2 + A/2B + i alpha /
-    (2 sqrt(zeta B)); 1 + A/B; 2), with A = 1 + tau/2 and B = tau/2.
-    Despite the explicit i^n, the hypergeometric value carries exactly
-    the compensating phase, so real alpha and zeta give a real result.
-    Validated for real zeta > 0; complex zeta draws a branch-ambiguity
-    warning.
-    """
-    import warnings
-
-    import mpmath as mp
-
-    if tau <= 0:
-        raise ValidationError("closed form needs tau > 0; use the recurrence")
-    if zeta == 0:
-        raise ValidationError("closed form needs zeta != 0; use the recurrence")
-    if n < 0:
-        raise ValidationError("n must be >= 0")
-    zeta = complex(zeta)
-    if zeta.imag != 0.0 or zeta.real < 0.0:
-        warnings.warn(
-            "squeezed_coeff_closed_form is validated only for real zeta > 0",
-            stacklevel=2,
-        )
-    a_coef = 1.0 + tau / 2.0
-    b_coef = tau / 2.0
-    c_param = 1.0 + a_coef / b_coef
-    root = cmath.sqrt(zeta * b_coef)
-    b_param = 0.5 + a_coef / (2.0 * b_coef) + 1j * complex(alpha) / (2.0 * root)
-
-    from .specfun import gauss_2f1_terminating
-
-    f_val = gauss_2f1_terminating(n, b_param, c_param, 2.0)
-    # prefactor and sum combined at extended precision: the rising
-    # factorial alone overflows the double range long before the product
-    with mp.workdps(40 + int(0.9 * n)):
-        pref = (mp.mpc(0, 1) ** n) * mp.mpc(zeta * b_coef) ** (mp.mpf(n) / 2)
-        pref *= mp.rf(mp.mpf(c_param), n)
-        return complex(pref * mp.mpc(f_val))
+    return log_abs, phase
 
 
 def _squeezed_state_logs(alpha: complex, zeta: complex, d: Deformation,
                          nmax: int):
     """(log|c_n|, phase_n) of the squeezed series c_n = I(n) / (sqrt(n!) f(n)!)."""
-    table = squeezed_coeffs_recurrence(alpha, zeta, d, nmax)
-    return table.log_abs - 0.5 * log_rho_table(d, nmax), table.phase
+    log_abs, phase = squeezed_coeffs_recurrence(alpha, zeta, d, nmax)
+    return log_abs - 0.5 * log_rho_table(d, nmax), phase
 
 
 def _squeezed_series(alpha: complex, zeta: complex, d: Deformation, what: str):
@@ -585,7 +512,8 @@ def _squeezed_series(alpha: complex, zeta: complex, d: Deformation, what: str):
 def squeezed_normalization(alpha: complex, zeta: complex, d: Deformation,
                            n_max: int) -> float:
     """Truncated-series norm of the squeezed expansion."""
-    return CoeffTable(*_squeezed_state_logs(alpha, zeta, d, n_max)).normalization
+    log_abs = _squeezed_state_logs(alpha, zeta, d, n_max)[0]
+    return math.exp(0.5 * _logsumexp(2.0 * log_abs))
 
 
 def nc_squeezed(alpha: complex, zeta: complex, tau: float,

@@ -1,11 +1,16 @@
 """Reference helpers that only the tests use: the q-integer, direct
 products and recurrences for q-factorials, the q-exponential, rising
-factorials, Hermite polynomials, Bessel K, f^2(n)!, rho_n and the level
-energies.  The library itself reads the cached log tables of
-``defock.specfun`` and ``defock.deform``; these are the plain forms the
-tests check those against."""
+factorials, Hermite polynomials, Bessel K, f^2(n)!, rho_n, the level
+energies, the summed normalization constants, and the terminating Gauss
+2F1 closed form of the squeezed seed.  The library itself reads the
+cached log tables of ``defock.specfun`` and ``defock.deform`` and builds
+the squeezed seed by its recurrence; these are the plain forms the tests
+check those against."""
 
+import cmath
+import itertools
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -146,6 +151,21 @@ def energy_level(d: Deformation, n: int, omega: float, hbar: float = 1.0) -> flo
     return hbar * omega * dimensionless_e(d, n)
 
 
+def _levels(family: str, p):
+    """Yield the level [k] for k = 0, 1, ...: k f^2(k) = (1 + tau/2) k +
+    (tau/2) k^2 for nlcs and gk, and the q-integer 1 + q^2 + ... + q^(2k-2)
+    for the q families, one term of it per level."""
+    if family in ("nlcs", "gk"):
+        tau = mp.mpf(p.tau)
+        for k in itertools.count():
+            yield (1 + tau / 2) * k + tau / 2 * k * k
+    q2, level, power = mp.mpf(p.q) ** 2, mp.mpf(0), mp.mpf(1)
+    while True:
+        yield level
+        level += power
+        power *= q2
+
+
 def summed_norm(family: str, p) -> float:
     """The normalization constant ``FAMILIES[family].norm`` reports for the
     families whose series is summed to convergence (nlcs, gk, q-coherent,
@@ -156,16 +176,12 @@ def summed_norm(family: str, p) -> float:
     stops once a term is below 1e-50 of each partial sum.
     """
     with mp.workdps(40):
-        if family in ("nlcs", "gk"):
-            tau = mp.mpf(p.tau)
-            level = lambda k: (1 + tau / 2) * k + tau / 2 * k * k  # noqa: E731
-        else:
-            q2 = mp.mpf(p.q) ** 2
-            level = (lambda k: (1 - q2 ** k) / (1 - q2)) if q2 < 1 else mp.mpf
+        levels = _levels(family, p)
         x = mp.mpf(p.J) if family == "gk" else abs(mp.mpc(p.alpha)) ** 2
         m = p.m if family == "pacs" else 0
+        level = [next(levels) for _ in range(m + 1)]  # [0] .. [n + m]
         # coherent weight x^n / [n]!, and the photon-added factor [n+m]! / [n]!
-        term, added = mp.mpf(1), mp.fprod(level(k) for k in range(1, m + 1))
+        term, added = mp.mpf(1), mp.fprod(level[1:])
         even, odd, pacs = mp.mpf(0), mp.mpf(0), mp.mpf(0)
         n = 0
         while n == 0 or term * added >= 1e-50 * min(s for s in (even, odd, pacs) if s > 0):
@@ -175,11 +191,78 @@ def summed_norm(family: str, p) -> float:
                 even += term
             pacs += term * added
             n += 1
-            term *= x / level(n)
-            added *= level(n + m) / level(n)
+            level.append(next(levels))
+            term *= x / level[n]
+            added *= level[n + m] / level[n]
         total = even + odd
         if family == "cat":
             return float(mp.sqrt(4 * (even if p.parity == "even" else odd) / total))
         if family == "pacs":
             return float(mp.sqrt(pacs / total))
         return float(mp.sqrt(total))
+
+
+def gauss_2f1_terminating(n: int, b: complex, c: float, z: float) -> complex:
+    """Terminating 2F1(-n, b; c; z) = sum_{k=0..n} (-n)_k (b)_k z^k / ((c)_k k!).
+
+    The finite sum suffers catastrophic cancellation in double precision
+    (loss of ~16 digits already at n = 30 for the parameter ranges used
+    by the squeezed-state closed form), so terms are accumulated with
+    mpmath at a working precision that grows with n.  The result is
+    rounded back to a complex double.
+    """
+    if n < 0:
+        raise ValidationError(f"gauss_2f1_terminating needs n >= 0, got {n}")
+    c = float(c)
+    if c <= 0 and c == int(c) and c >= -n:
+        raise ValidationError(
+            f"gauss_2f1_terminating: c={c} is a nonpositive integer >= -n"
+        )
+    with mp.workdps(35 + int(0.9 * n)):
+        bb = mp.mpc(b)
+        cc = mp.mpf(c)
+        zz = mp.mpf(z)
+        total = mp.mpc(1)
+        term = mp.mpc(1)
+        for k in range(n):
+            term *= (-(n - k)) * (bb + k) * zz / ((cc + k) * (k + 1))
+            total += term
+        return complex(total)
+
+
+def squeezed_coeff_closed_form(alpha: complex, zeta: complex, tau: float,
+                               n: int) -> complex:
+    """Closed form for the squeezed seed I(alpha, zeta, n) at tau > 0.
+
+    i^n (zeta B)^(n/2) (1 + A/B)^(n) 2F1(-n, 1/2 + A/2B + i alpha /
+    (2 sqrt(zeta B)); 1 + A/B; 2), with A = 1 + tau/2 and B = tau/2.
+    Despite the explicit i^n, the hypergeometric value carries exactly
+    the compensating phase, so real alpha and zeta give a real result.
+    Validated for real zeta > 0; complex zeta draws a branch-ambiguity
+    warning.
+    """
+    if tau <= 0:
+        raise ValidationError("closed form needs tau > 0; use the recurrence")
+    if zeta == 0:
+        raise ValidationError("closed form needs zeta != 0; use the recurrence")
+    if n < 0:
+        raise ValidationError("n must be >= 0")
+    zeta = complex(zeta)
+    if zeta.imag != 0.0 or zeta.real < 0.0:
+        warnings.warn(
+            "squeezed_coeff_closed_form is validated only for real zeta > 0",
+            stacklevel=2,
+        )
+    a_coef = 1.0 + tau / 2.0
+    b_coef = tau / 2.0
+    c_param = 1.0 + a_coef / b_coef
+    root = cmath.sqrt(zeta * b_coef)
+    b_param = 0.5 + a_coef / (2.0 * b_coef) + 1j * complex(alpha) / (2.0 * root)
+
+    f_val = gauss_2f1_terminating(n, b_param, c_param, 2.0)
+    # prefactor and sum combined at extended precision: the rising
+    # factorial alone overflows the double range long before the product
+    with mp.workdps(40 + int(0.9 * n)):
+        pref = (mp.mpc(0, 1) ** n) * mp.mpc(zeta * b_coef) ** (mp.mpf(n) / 2)
+        pref *= mp.rf(mp.mpf(c_param), n)
+        return complex(pref * mp.mpc(f_val))

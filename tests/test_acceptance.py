@@ -43,9 +43,9 @@ from defock.states import (
     nlcs,
     pacs_q,
     q_coherent,
-    squeezed_coeff_closed_form,
     squeezed_coeffs_recurrence,
 )
+from oracles import squeezed_coeff_closed_form
 
 FIFTY = BeamSplitter.fifty_fifty()
 
@@ -318,9 +318,9 @@ def test_c09_squeezed_closed_form_and_hermite_limit():
         for zeta in (0.1, 0.25, 0.5):
             for tau in (0.05, 0.1, 0.5):
                 d = Deformation.perturbative_nc(tau)
-                table = squeezed_coeffs_recurrence(alpha, zeta, d, 31)
+                log_abs, phase = squeezed_coeffs_recurrence(alpha, zeta, d, 31)
                 for n in range(31):
-                    rec = math.exp(table.log_abs[n]) * table.phase[n]
+                    rec = math.exp(log_abs[n]) * phase[n]
                     cf = squeezed_coeff_closed_form(alpha, zeta, tau, n)
                     rel = abs(cf - rec) / abs(rec)
                     worst = max(worst, rel)
@@ -330,10 +330,10 @@ def test_c09_squeezed_closed_form_and_hermite_limit():
     worst_h = 0.0
     alpha, zeta = 1.0, 0.25
     x = alpha / math.sqrt(2.0 * zeta)
-    table = squeezed_coeffs_recurrence(alpha, zeta, Deformation.harmonic(), 31)
+    log_abs, phase = squeezed_coeffs_recurrence(alpha, zeta, Deformation.harmonic(), 31)
     for n in range(31):
         ref = (zeta / 2.0) ** (n / 2.0) * hermite(n, x)
-        rec = math.exp(table.log_abs[n]) * table.phase[n].real
+        rec = math.exp(log_abs[n]) * phase[n].real
         err = abs(rec - ref) / max(abs(ref), 1e-30)
         worst_h = max(worst_h, err)
         assert err <= 1e-10

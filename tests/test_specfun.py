@@ -1,5 +1,7 @@
+import ast
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -7,14 +9,22 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import kve
 
+import defock
 from defock.errors import ValidationError
 from defock.specfun import (
     bessel_k_log,
-    gauss_2f1_terminating,
     log_factorial_table,
     log_gamma,
 )
-from oracles import bessel_k, hermite, pochhammer, q_bracket, q_factorial, q_log_factorial
+from oracles import (
+    bessel_k,
+    gauss_2f1_terminating,
+    hermite,
+    pochhammer,
+    q_bracket,
+    q_factorial,
+    q_log_factorial,
+)
 
 
 # ---------------------------------------------------------------- q-brackets
@@ -249,6 +259,28 @@ def test_bessel_k_errors():
         bessel_k(60.0, 1e-4)
     # the log variant stays finite there
     assert bessel_k_log(60.0, 1e-4) > 700.0
+
+
+def test_mpmath_imported_only_by_the_bessel_overflow_fallback():
+    # the library's one use of mpmath; its mpmath oracles live in tests/oracles.py
+    found = []
+
+    def visit(node, module, where):
+        for child in ast.iter_child_nodes(node):
+            inner = where
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{where}.{child.name}" if where else child.name
+            if isinstance(child, ast.Import):
+                found.extend((module, where) for alias in child.names
+                             if alias.name.split(".")[0] == "mpmath")
+            elif isinstance(child, ast.ImportFrom) and not child.level \
+                    and child.module.split(".")[0] == "mpmath":
+                found.append((module, where))
+            visit(child, module, inner)
+
+    for path in sorted(Path(defock.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem, None)
+    assert found == [("specfun", "bessel_k_log")]
 
 
 # ---------------------------------------------------------------- log gamma

@@ -3,6 +3,7 @@ import math
 import time
 from types import SimpleNamespace
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -34,11 +35,15 @@ from defock.states import (
     phi_eigenstate,
     q_coherent,
     q_normalization,
-    squeezed_coeff_closed_form,
     squeezed_coeffs_recurrence,
     squeezed_normalization,
 )
-from oracles import f_factorial_squared, q_exponential, summed_norm
+from oracles import (
+    f_factorial_squared,
+    q_exponential,
+    squeezed_coeff_closed_form,
+    summed_norm,
+)
 
 HARMONIC = Deformation.harmonic()
 
@@ -181,7 +186,7 @@ def _nlcs_normalization_loop(alpha, tau):
         log_w = np.arange(n) * math.log(lam) - 2.0 * log_denom
         if log_w[-1] < log_w.max() - 60.0:
             return math.exp(0.5 * _logsumexp(log_w))
-        if n >= 65536:
+        if n >= 8 * MAX_N_MAX:
             raise DivergenceError("nlcs normalization series did not converge")
         n *= 2
 
@@ -203,7 +208,7 @@ def _gk_normalization_loop(J, tau):
         if log_w[-1] < log_w.max() - 60.0:
             return math.exp(0.5 * _logsumexp(log_w))
         n *= 2
-        if n > 65536:
+        if n > 8 * MAX_N_MAX:
             raise DivergenceError("gk normalization series did not converge")
 
 
@@ -362,16 +367,15 @@ def test_gk_mean_occupation_oracle():
 # ------------------------------------------------------------ squeezed seeds
 
 def test_recurrence_trivial_cases():
-    t = squeezed_coeffs_recurrence(1.3, 0.0, HARMONIC, 12)
-    vals = np.exp(t.log_abs) * t.phase
+    log_abs, phase = squeezed_coeffs_recurrence(1.3, 0.0, HARMONIC, 12)
+    vals = np.exp(log_abs) * phase
     assert np.max(np.abs(vals - 1.3 ** np.arange(12))) < 1e-10
 
-    t0 = squeezed_coeffs_recurrence(0.0, 0.4, HARMONIC, 12)
-    odd = np.exp(t0.log_abs[1::2])
-    assert np.all(~np.isfinite(t0.log_abs[1::2]))
+    log_abs, _ = squeezed_coeffs_recurrence(0.0, 0.4, HARMONIC, 12)
+    assert np.all(~np.isfinite(log_abs[1::2]))
 
-    t2 = squeezed_coeffs_recurrence(1.0, 0.25, HARMONIC, 8)
-    i2 = math.exp(t2.log_abs[2]) * t2.phase[2]
+    log_abs, phase = squeezed_coeffs_recurrence(1.0, 0.25, HARMONIC, 8)
+    i2 = math.exp(log_abs[2]) * phase[2]
     assert i2 == pytest.approx(0.75, rel=1e-13)
 
 
@@ -401,9 +405,9 @@ def test_closed_form_complex_zeta_warns():
 @pytest.mark.parametrize("tau", [0.05, 0.1, 0.5])
 def test_closed_form_matches_recurrence(alpha, zeta, tau):
     d = Deformation.perturbative_nc(tau)
-    table = squeezed_coeffs_recurrence(alpha, zeta, d, 31)
+    log_abs, phase = squeezed_coeffs_recurrence(alpha, zeta, d, 31)
     for n in (5, 17, 30):
-        rec = math.exp(table.log_abs[n]) * table.phase[n]
+        rec = math.exp(log_abs[n]) * phase[n]
         cf = squeezed_coeff_closed_form(alpha, zeta, tau, n)
         assert abs(cf - rec) <= 1e-8 * abs(rec)
         # the i^n prefactor is exactly compensated: result is real
@@ -413,9 +417,9 @@ def test_closed_form_matches_recurrence(alpha, zeta, tau):
 def test_recurrence_large_n_rescaling():
     # no overflow out to n = 400; log magnitudes grow smoothly
     d = Deformation.perturbative_nc(0.1)
-    t = squeezed_coeffs_recurrence(1.0, 0.25, d, 401)
-    assert np.all(np.isfinite(t.log_abs[2:]))
-    assert np.max(np.abs(np.abs(t.phase) - 1.0)) < 1e-12
+    log_abs, phase = squeezed_coeffs_recurrence(1.0, 0.25, d, 401)
+    assert np.all(np.isfinite(log_abs[2:]))
+    assert np.max(np.abs(np.abs(phase) - 1.0)) < 1e-12
 
 
 # ------------------------------------------------------------ squeezed states
@@ -452,8 +456,8 @@ def test_ho_squeezed_hermite_ratio():
     alpha, zeta = 1.0, 0.25
     x = alpha / math.sqrt(2 * zeta)
     ratio_hermite = (zeta / 2.0) * hermite(2, x) / hermite(0, x)
-    t = squeezed_coeffs_recurrence(alpha, zeta, HARMONIC, 4)
-    ratio_rec = math.exp(t.log_abs[2] - t.log_abs[0]) * (t.phase[2] / t.phase[0])
+    log_abs, phase = squeezed_coeffs_recurrence(alpha, zeta, HARMONIC, 4)
+    ratio_rec = math.exp(log_abs[2] - log_abs[0]) * (phase[2] / phase[0])
     assert ratio_hermite == pytest.approx(ratio_rec.real, rel=1e-12)
 
 
@@ -522,13 +526,31 @@ def test_nc_squeezed_coefficient_ratio_tends_to_zeta(tau, zeta):
     assert ratio == pytest.approx(zeta, abs=0.005)
 
 
+def _squeezed_norm_40_digits(alpha, zeta, tau, n_max):
+    """sqrt(sum_{n < n_max} |I(n)|^2 / rho_n) at 40 digits, with the seed
+    I(n) run by its own recurrence and f^2(n) = 1 + tau/2 + tau n/2, so
+    rho_n = prod_{k <= n} k f^2(k); tau = 0 is the harmonic kernel."""
+    with mp.workdps(40):
+        alpha, zeta, tau = mp.mpc(alpha), mp.mpc(zeta), mp.mpf(tau)
+        prev, cur = mp.mpc(1), alpha  # I(n - 1), I(n)
+        rho, total = mp.mpf(1), mp.mpf(1)
+        for n in range(1, n_max):
+            f2 = 1 + tau / 2 + tau * n / 2
+            rho *= n * f2
+            total += abs(cur) ** 2 / rho
+            prev, cur = cur, alpha * cur - zeta * n * f2 * prev
+        return float(mp.sqrt(total))
+
+
 def test_squeezed_normalization_helper():
-    d = Deformation.perturbative_nc(0.1)
-    val = squeezed_normalization(1.0, 0.25, d, 64)
-    tab = squeezed_coeffs_recurrence(1.0, 0.25, d, 64)
-    assert val > 0
-    # norm must dominate the seed value I(0)/0! = 1
-    assert val >= 1.0
+    for alpha, zeta, d, tau in (
+        (1.0, 0.25, Deformation.perturbative_nc(0.1), 0.1),
+        (1.3, -0.8, HARMONIC, 0.0),  # slow: a 63- or 65-level sum is 0.6% off
+        (0.7 + 0.2j, 0.2 + 0.15j, Deformation.perturbative_nc(0.05), 0.05),
+    ):
+        got = squeezed_normalization(alpha, zeta, d, 64)
+        want = _squeezed_norm_40_digits(alpha, zeta, tau, 64)
+        assert got == pytest.approx(want, rel=1e-14), (alpha, zeta, tau)
 
 
 # -------------------------------------------------------------------- cats
