@@ -114,7 +114,13 @@ def _as_float_or_complex(x) -> np.ndarray:
     return np.asarray(x, dtype=float if np.isrealobj(x) else complex)
 
 
-_hankel = np.lib.stride_tricks.sliding_window_view  # _hankel(x, n)[q, m] = x[q + m]
+def _hankel(x: np.ndarray, n: int) -> np.ndarray:
+    """Read-only view H[q, m] = x[q + m], q < len(x) - n + 1, m < n, of a
+    contiguous 1-D x: both axes step one element, so no entry is copied."""
+    step = x.strides[0]
+    view = np.ndarray((len(x) - n + 1, n), x.dtype, x, 0, (step, step))
+    view.flags.writeable = False
+    return view
 
 
 # A scan uses two keys, r and |r|.  At MAX_N_MAX a float64 kernel is 2 MB
@@ -137,10 +143,23 @@ def _splitter_kernel(n: int, t: float, r) -> np.ndarray:
     return kernel
 
 
+# Levels past the last one with |c| >= _SUPPORT_FLOOR max|c| are left out
+# of M: with k levels kept, M is exactly 0 for q + m >= k and every product
+# runs over the leading k x k block.  For a unit state (max|c| >= n^-1/2)
+# and |K| <= 1: at n 256 the smallest 50:50 kernel entry is about 2^-128,
+# so a level at or above the floor gives entries of at least 2^-432, and a
+# product of two is at least 2^-864, a normal double, not a slow subnormal.
+# A dropped entry is below 2^-300: it moves an entry of rho = M M^H by less
+# than 2n 2^-300 <= 2^-290, and tr rho^2 >= 1/n by far less than an ulp.
+_SUPPORT_FLOOR = 2.0**-300
+
+
 def _transform_matrix(c: np.ndarray, t: float, r) -> np.ndarray:
-    """M[q, m] = c[q+m] sqrt(C(q+m, q)) t^q r^m for q + m < n = len(c):
-    a Hankel view of c, zero-padded past n so the rest of M is exactly 0,
-    times the cached splitter kernel.
+    """M[q, m] = c[q+m] sqrt(C(q+m, q)) t^q r^m on the n x n grid, n = len(c),
+    for q + m < k and exactly 0 elsewhere: a Hankel view of c[:k] times the
+    leading k x k block of the cached splitter kernel, written into a zeroed
+    n x n array.  k is one past the last level with |c| >= ``_SUPPORT_FLOOR``
+    max|c|.
 
     M is float64 when c and r are real.  An imaginary part counts as zero
     only when it is identically zero, never when it is merely small, so
@@ -151,8 +170,26 @@ def _transform_matrix(c: np.ndarray, t: float, r) -> np.ndarray:
         c = c.real
     r = complex(r)
     r = r.real if r.imag == 0 else r
-    padded = np.concatenate([c, np.zeros(n - 1, dtype=c.dtype)])
-    return _hankel(padded, n) * _splitter_kernel(n, t, r)
+    mag = np.abs(c)
+    k = int(np.flatnonzero(mag >= _SUPPORT_FLOOR * mag.max())[-1]) + 1
+    kernel = _splitter_kernel(n, t, r)  # K[q, m] does not depend on n: one per n, not per k
+    out = np.zeros((n, n), dtype=np.result_type(c, kernel))
+    padded = np.concatenate([c[:k], np.zeros(k - 1, dtype=c.dtype)])
+    np.multiply(_hankel(padded, k), kernel[:k, :k], out=out[:k, :k])
+    return out
+
+
+def _leading_gram(a: np.ndarray) -> np.ndarray:
+    """a a^H for a nonzero a, computed on the leading block of a that holds
+    all its nonzero entries and written into a zeroed square array.  Real a
+    gives the symmetric rank-k product: ``conj`` of a real array is the
+    array itself."""
+    p = int(np.flatnonzero(a.any(axis=1))[-1]) + 1
+    s = int(np.flatnonzero(a.any(axis=0))[-1]) + 1
+    out = np.zeros((a.shape[0], a.shape[0]), dtype=a.dtype)
+    block = a[:p, :s]
+    out[:p, :p] = block @ block.conj().T
+    return out
 
 
 def apply_beamsplitter(state: FockState, bs: BeamSplitter) -> TwoModeState:
@@ -160,8 +197,9 @@ def apply_beamsplitter(state: FockState, bs: BeamSplitter) -> TwoModeState:
 
     Level k of the input feeds the anti-diagonal q + m = k of the output
     amplitude matrix, M[q, m] = c[q+m] sqrt(C(q+m, q)) t^q r^m; the whole
-    matrix is built in one broadcast.  M is real when the amplitudes and
-    r are (phi = 0), and complex otherwise.
+    matrix is built in one broadcast over the state's support (see
+    ``_transform_matrix``).  M is real when the amplitudes and r are
+    (phi = 0), and complex otherwise.
     """
     out = _transform_matrix(state.amps, bs.t, bs.r)
     out /= math.sqrt(float(np.sum(np.abs(out) ** 2)))
@@ -171,16 +209,12 @@ def apply_beamsplitter(state: FockState, bs: BeamSplitter) -> TwoModeState:
 def partial_trace(two: TwoModeState, port: str = "c",
                   validate: bool = True) -> DensityMatrix:
     """Reduced density matrix of one output port, real when the amplitudes
-    are (``conj`` of a real array is the array itself, so numpy takes the
-    symmetric rank-k product)."""
-    m = two.amps
-    if port == "c":
-        rho = m @ m.conj().T
-    elif port == "d":
-        rho = m.T @ m.conj()
-    else:
+    are.  rho_c = M M^H and rho_d = M^T conj(M) run over the leading block
+    of M that holds its nonzero entries (the support that
+    ``apply_beamsplitter`` keeps); the rest of rho is exactly 0."""
+    if port not in ("c", "d"):
         raise ValidationError(f"port must be 'c' or 'd', got {port!r}")
-    out = DensityMatrix(rho)
+    out = DensityMatrix(_leading_gram(two.amps if port == "c" else two.amps.T))
     return out.validate() if validate else out
 
 
@@ -236,24 +270,35 @@ def linear_entropy_closed_form(alpha: complex, tau: float, bs: BeamSplitter,
     below ``n_max``, matching the direct pipeline's truncation exactly.
     The quadruple sum is evaluated as tr((D^dag D)^2) with
     D[m, q] = |t|^q |r|^m C(alpha, m+q) / (sqrt(m! q!) f(m+q)!), in real
-    arithmetic when the coefficients are real (real alpha).
+    arithmetic when the coefficients are real (real alpha).  D is the
+    support-trimmed transform of the direct route, and E = D^dag D runs
+    over the leading block that holds D's nonzero entries.
     A warning, which names the first caller outside this module, is
     emitted when the discarded boundary terms exceed ``_BOUNDARY_WARN``
-    of the total.
+    of the total.  The share is computed only when an O(1) bound on it
+    can reach half that threshold, so the bound never changes the decision.
     """
     _check_n_max(n_max)
     coeffs = nc_coherent_coeffs(alpha, tau, n_max)
     norm_sq = float(np.sum(np.abs(coeffs) ** 2))
     d_mat = _transform_matrix(coeffs, abs(bs.t), abs(bs.r)).T  # D[m, q]
-    e_mat = d_mat.conj().T @ d_mat
+    e_mat = _leading_gram(d_mat.conj().T)
     total = float(np.sum(np.abs(e_mat) ** 2).real)
-    boundary = _boundary_share(d_mat, e_mat)
-    if total > 0 and abs(boundary) > _BOUNDARY_WARN * total:
-        warnings.warn(
-            f"entropy closed form: boundary terms contribute "
-            f"{abs(boundary) / total:.2e} of the sum; enlarge n_max",
-            stacklevel=_stacklevel_outside(__file__),
-        )
+    # The boundary B is the anti-diagonal of D fed by c[n-1], and the splitter
+    # is lossless, so |B|_F = |c[n-1]| and |D|_F^2 = sum |c|^2.  Then
+    # E - E_in = D^H B + B^H D - B^H B has |.|_F <= delta, and
+    # |share| <= 2 |E|_F delta + delta^2 (see _boundary_share).
+    edge = float(abs(coeffs[-1]))
+    delta = 2.0 * math.sqrt(norm_sq) * edge + edge * edge
+    bound = 2.0 * math.sqrt(total) * delta + delta * delta
+    if total > 0 and bound > 0.5 * _BOUNDARY_WARN * total:
+        boundary = _boundary_share(d_mat, e_mat)
+        if abs(boundary) > _BOUNDARY_WARN * total:
+            warnings.warn(
+                f"entropy closed form: boundary terms contribute "
+                f"{abs(boundary) / total:.2e} of the sum; enlarge n_max",
+                stacklevel=_stacklevel_outside(__file__),
+            )
     return 1.0 - total / norm_sq**2
 
 

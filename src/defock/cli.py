@@ -35,6 +35,10 @@ EXIT_VALIDATION = 2
 EXIT_TRUNCATION = 3
 EXIT_TOLERANCE = 4
 
+# largest --points and --alpha-steps: both go straight into np.linspace,
+# so they are checked before anything is allocated
+MAX_GRID_POINTS = 10**6
+
 # a family of one deformation kind contradicts the other kind and the
 # option that sets its parameter
 _CONTRADICTS = {"nc": ("q", "q"), "q": ("nc", "tau")}
@@ -217,6 +221,8 @@ def cmd_autocorr(args) -> int:
         raise ValidationError("--tau is required for autocorr")
     if args.points < 2 or args.tmax <= 0:
         raise ValidationError("need --points >= 2 and --tmax > 0")
+    if args.points > MAX_GRID_POINTS:
+        raise ValidationError(f"--points must be at most {MAX_GRID_POINTS}, got {args.points}")
     t = np.linspace(0.0, args.tmax, args.points)
     a = metrics.gk_autocorrelation(
         args.J, args.gamma, args.tau, args.omega, t, n_max=args.nmax
@@ -260,6 +266,9 @@ def cmd_entropy_scan(args) -> int:
     elif args.alpha_max is not None and args.alpha_steps:
         if args.alpha_steps < 1:
             raise ValidationError("--alpha-steps must be >= 1")
+        if args.alpha_steps > MAX_GRID_POINTS:
+            raise ValidationError(
+                f"--alpha-steps must be at most {MAX_GRID_POINTS}, got {args.alpha_steps}")
         alphas = list(np.linspace(0.0, args.alpha_max, args.alpha_steps))
     else:
         raise ValidationError("give --alphas or --alpha-max/--alpha-steps")

@@ -5,6 +5,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from defock import beamsplitter
 from defock.beamsplitter import (
@@ -463,6 +465,118 @@ def test_complex_amplitudes_take_the_complex_route():
         rho = partial_trace(apply_beamsplitter(state, bs), "c").rho
         assert rho.dtype == np.complex128
         assert np.max(np.abs(rho - reduced_state_complex(state, bs))) <= 1e-15
+
+
+# ------------------------------------------- products over the state's support
+
+def transform_matrix_untrimmed(c, t, r):
+    """M on the whole n x n grid, every level of c kept, from the same
+    kernel and in the same arithmetic as the library; reference only."""
+    n = len(c)
+    if np.iscomplexobj(c) and not c.imag.any():
+        c = c.real
+    padded = np.concatenate([c, np.zeros(n - 1, dtype=c.dtype)])
+    return (np.lib.stride_tricks.sliding_window_view(padded, n)
+            * beamsplitter._splitter_kernel(n, t, r))
+
+
+def support(c):
+    """One past the last level with |c| >= 2^-300 max|c|."""
+    mag = np.abs(c)
+    return int(np.flatnonzero(mag >= 2.0**-300 * mag.max())[-1]) + 1
+
+
+def assert_zero_past_support(amps, k):
+    q = np.arange(len(amps))
+    assert np.all(amps[(q[:, None] + q) >= k] == 0)
+
+
+@pytest.mark.parametrize("alpha", [1.18, 2.05, 2.67])
+def test_trimmed_products_match_the_untrimmed_ones(alpha):
+    tau, n_max = 0.16, 256
+    state = nc_quiet(alpha, tau, n_max)
+    k = support(state.amps)
+    assert state.n_max == n_max and k < n_max
+    full = transform_matrix_untrimmed(state.amps, FIFTY.t, FIFTY.r.real)
+    if alpha == 1.18:  # the untrimmed product runs over subnormal entries
+        assert np.count_nonzero((full != 0) & (np.abs(full) < np.finfo(float).tiny)) > 2000
+    full /= math.sqrt(float(np.sum(full**2)))
+    rho_full = full @ full.T
+    two = apply_beamsplitter(state, FIFTY)
+    assert_zero_past_support(two.amps, k)
+    rho = partial_trace(two, "c", validate=False).rho
+    assert np.max(np.abs(rho - rho_full)) <= 2.0**-290
+    assert linear_entropy(partial_trace(two, "c")) == 1.0 - float(np.sum(rho_full**2))
+
+    coeffs = nc_coherent_coeffs(alpha, tau, n_max)
+    d_full = transform_matrix_untrimmed(coeffs, FIFTY.t, abs(FIFTY.r)).T
+    want = 1.0 - (float(np.sum((d_full.T @ d_full) ** 2))
+                  / float(np.sum(np.abs(coeffs) ** 2)) ** 2)
+    assert linear_entropy_closed_form(alpha, tau, FIFTY, n_max) == want
+    assert_zero_past_support(_closed_form_d(alpha, tau, FIFTY, n_max), support(coeffs))
+
+
+@pytest.mark.parametrize("port", ["c", "d"])
+def test_state_without_tiny_levels_gives_the_untrimmed_arrays(port):
+    rng = np.random.default_rng(7)
+    amps = rng.normal(size=64) + 0.5
+    state = FockState(amps / np.linalg.norm(amps), 0.0, "random")
+    assert support(state.amps) == 64
+    m = beamsplitter._transform_matrix(state.amps, FIFTY.t, FIFTY.r)
+    full = transform_matrix_untrimmed(state.amps, FIFTY.t, FIFTY.r.real)
+    assert np.array_equal(m, full)
+    two = apply_beamsplitter(state, FIFTY)
+    full /= math.sqrt(float(np.sum(full**2)))
+    assert np.array_equal(two.amps, full)
+    want = full @ full.T if port == "c" else full.T @ full
+    assert np.array_equal(partial_trace(two, port).rho, want)
+
+
+def test_complex_route_is_trimmed_too():
+    state = gk_coherent(1.5, 0.3, 0.1, 256)
+    k = support(state.amps)
+    assert state.n_max == 256 and k < 256
+    two = apply_beamsplitter(state, FIFTY)
+    assert two.amps.dtype == np.complex128
+    assert_zero_past_support(two.amps, k)
+    rho = partial_trace(two, "c").rho
+    assert np.max(np.abs(rho - reduced_state_complex(state, FIFTY))) <= 1e-15
+
+
+def test_hankel_view_matches_sliding_window_and_is_read_only():
+    rng = np.random.default_rng(3)
+    for x in (rng.normal(size=9), rng.normal(size=12) + 1j * rng.normal(size=12)):
+        for n in (1, 4, len(x)):
+            view = beamsplitter._hankel(x, n)
+            assert np.array_equal(view, np.lib.stride_tricks.sliding_window_view(x, n))
+            with pytest.raises(ValueError):
+                view[0, 0] = 1.0
+
+
+# -------------------------------------------- the gate on the boundary share
+
+@settings(database=None, derandomize=True, deadline=None, max_examples=60)
+@given(alpha=st.floats(0.0, 4.0), tau=st.floats(0.0, 0.5), n_max=st.integers(3, 64))
+def test_boundary_warning_fires_exactly_when_the_share_is_large(alpha, tau, n_max):
+    total, share = boundary_share_explicit(_closed_form_d(alpha, tau, FIFTY, n_max))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        linear_entropy_closed_form(alpha, tau, FIFTY, n_max)
+    warned = any("boundary" in str(w.message) for w in caught)
+    assert warned == (abs(share) > 1e-12 * total)
+
+
+def test_scan_point_at_n_max_64_skips_the_boundary_share(monkeypatch):
+    def boom(*args):
+        raise AssertionError("boundary share computed")
+
+    monkeypatch.setattr(beamsplitter, "_boundary_share", boom)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", PerturbativeRegimeWarning)
+        table = entropy_scan("nlcs", [0.5, 1.5, 2.5], [0.05, 0.3], n_max=64)
+        assert all(row[-1] == "" and math.isfinite(row[4]) for row in table.rows)
+        with pytest.raises(AssertionError, match="boundary share"):
+            entropy_scan("nlcs", [2.0], [0.1], n_max=6)
 
 
 # -------------------------------------------------------------------- scans

@@ -3,10 +3,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import defock
-from defock.cli import main
+from defock.cli import MAX_GRID_POINTS, main
 from defock.fock_io import read_csv
 from defock.states import FockState
 
@@ -147,6 +148,23 @@ def test_autocorr_empty_grid_exit_2(tmp_path):
         "--points", "0", "--out", str(tmp_path),
     ])
     assert code == 2
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["autocorr", "--J", "1.5", "--tau", "0.1", "--tmax", "10", "--points"], "--points"),
+    (["entropy-scan", "--family", "glauber", "--alpha-max", "2", "--alpha-steps"],
+     "--alpha-steps"),
+])
+def test_grid_sizes_capped_before_any_allocation(tmp_path, capsys, monkeypatch, argv, option):
+    def no_linspace(*args, **kwargs):
+        raise AssertionError("np.linspace ran")
+
+    monkeypatch.setattr(np, "linspace", no_linspace)
+    for size in (MAX_GRID_POINTS + 1, 10**9):
+        assert run(argv + [str(size), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"validation error: {option} must") and f"got {size}" in err
+    assert not any(tmp_path.iterdir())
 
 
 def test_entropy_scan_cli(tmp_path, capsys):
