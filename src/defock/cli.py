@@ -47,7 +47,10 @@ _CONTRADICTS = {"nc": ("q", "q"), "q": ("nc", "tau")}
 def _common_options() -> argparse.ArgumentParser:
     """The options every subcommand shares, as a parent parser."""
     p = argparse.ArgumentParser(add_help=False)
-    p.add_argument("--config", help="JSON file with default option values")
+    # suppressed default: a subparser would otherwise reset a --config given
+    # before the subcommand to None
+    p.add_argument("--config", default=argparse.SUPPRESS,
+                   help="JSON file with default option values")
     p.add_argument("--deformation", choices=("harmonic", "nc", "q"))
     p.add_argument("--tau", type=float)
     p.add_argument("--q", type=float)
@@ -133,13 +136,6 @@ def _default_parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-@functools.lru_cache(maxsize=None)
-def _config_parser() -> argparse.ArgumentParser:
-    pre = argparse.ArgumentParser(add_help=False)
-    pre.add_argument("--config")
-    return pre
-
-
 def _family_state(args):
     """Check the options against the family's contract, then build the
     state and its deformation.  Sets ``args.alpha``, which the registry's
@@ -182,7 +178,7 @@ def cmd_state(args) -> int:
             provenance={"label": state.label},
         )
         fock_io.write_csv(table, out / "photon_distribution.csv")
-    norm_const = states.FAMILIES[args.family].norm(args, args.nmax)
+    norm_const = states.FAMILIES[args.family].norm(args)
     print(
         f"family={args.family} n_max={state.n_max} "
         f"norm_const={fock_io.format_real(norm_const)} "
@@ -344,23 +340,24 @@ _DISPATCH = {
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    known, _ = _config_parser().parse_known_args(argv)
-    defaults = None
-    if known.config:
-        try:
-            defaults = json.loads(Path(known.config).read_text(encoding="utf-8"))
-        except OSError:
-            print(f"cannot read config {known.config}", file=sys.stderr)
-            return EXIT_IO
-        except json.JSONDecodeError as exc:
-            print(f"malformed config {known.config}: {exc}", file=sys.stderr)
-            return EXIT_VALIDATION
-        if not isinstance(defaults, dict):
-            print("config must be a JSON object", file=sys.stderr)
-            return EXIT_VALIDATION
-    parser = build_parser(defaults) if defaults else _default_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _default_parser().parse_args(argv)
+        if args.config:
+            # required options, choices and types are checked on explicit
+            # flags only, so a bad command line is reported here, before the
+            # config is read
+            try:
+                defaults = json.loads(Path(args.config).read_text(encoding="utf-8"))
+            except OSError:
+                print(f"cannot read config {args.config}", file=sys.stderr)
+                return EXIT_IO
+            except json.JSONDecodeError as exc:
+                print(f"malformed config {args.config}: {exc}", file=sys.stderr)
+                return EXIT_VALIDATION
+            if not isinstance(defaults, dict):
+                print("config must be a JSON object", file=sys.stderr)
+                return EXIT_VALIDATION
+            args = build_parser(defaults).parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_VALIDATION
     try:

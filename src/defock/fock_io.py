@@ -1,5 +1,4 @@
-"""Serialization and artifact emission: CSV tables, SVG line plots,
-state-document round trips.
+"""Artifact files: CSV tables, written and read back, and SVG line plots.
 
 All writers are deterministic: identical inputs produce byte-identical
 files (no timestamps, no locale dependence).  Reals are written with 17
@@ -15,7 +14,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError
-from .states import FockState
 
 __all__ = [
     "ScanTable",
@@ -23,7 +21,6 @@ __all__ = [
     "write_csv",
     "read_csv",
     "write_svg_lineplot",
-    "state_roundtrip",
 ]
 
 
@@ -248,8 +245,3 @@ def write_svg_lineplot(table: ScanTable, x_col: str, y_cols, path,
         )
     parts.append("</svg>")
     Path(path).write_text("\n".join(parts) + "\n", encoding="utf-8", newline="\n")
-
-
-def state_roundtrip(state: FockState) -> FockState:
-    """Serialize-then-parse identity; amplitudes survive bit-exactly."""
-    return FockState.from_json(state.to_json())

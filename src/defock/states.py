@@ -23,13 +23,13 @@ related by an explicit banded dressing.
 Each family's raw series is written once, as a ``_<family>_series``
 maker that validates the parameters and returns ``logs(w) -> (log|c_n|,
 phase_n)`` for at least ``w`` levels.  The constructors truncate it with
-``_build_truncated``; the normalization constants of nlcs, gk,
-q-coherent, cat and pacs sum the same series to convergence with
-``_series_norm``.
+``_build_truncated``; the normalization constants of every family but
+glauber sum the same series to convergence with ``_series_norm``.
 
 ``FAMILIES`` maps each state family of the command line to its
-constructor, its deformation kind, its required options and its
-normalization constant.
+constructor ``build(p, n_max)``, its deformation kind, its required
+options and its normalization constant ``norm(p)``, which no truncation
+enters.
 """
 
 from __future__ import annotations
@@ -350,8 +350,8 @@ def nlcs(alpha: complex, tau: float, n_max: int = DEFAULT_N_MAX, *,
 def nc_coherent_coeffs(alpha: complex, tau: float, n_max: int) -> np.ndarray:
     """Unnormalized dressed coefficients of ``nlcs`` over 0 .. n_max-1.
 
-    Shared by the direct beam-splitter pipeline and the closed-form
-    entropy sum so the two routes truncate identically.  Values carry a
+    The coefficients that ``nlcs(..., basis="perturbed")`` normalizes at
+    this n_max; the closed-form entropy sums over them.  Values carry a
     common (irrelevant) scale factor.
     """
     logs = _nlcs_series(alpha, tau)(n_max + 4)
@@ -360,8 +360,6 @@ def nc_coherent_coeffs(alpha: complex, tau: float, n_max: int) -> np.ndarray:
 
 def nlcs_normalization(alpha: complex, tau: float) -> float:
     """Normalization constant of the raw series, sqrt(sum |alpha|^2n / rho_n)."""
-    if complex(alpha) == 0:
-        return 1.0
     return _series_norm(_nlcs_series(alpha, tau), "nlcs")
 
 
@@ -435,8 +433,6 @@ def gk_coherent(J: float, gamma: float, tau: float,
 
 def gk_normalization(J: float, tau: float) -> float:
     """sqrt(sum J^n / rho_n), summed to convergence."""
-    if J == 0.0:
-        return 1.0
     return _series_norm(_gk_series(J, 0.0, tau), "gk")
 
 
@@ -509,11 +505,10 @@ def _squeezed_series(alpha: complex, zeta: complex, d: Deformation, what: str):
     return lambda w: _squeezed_state_logs(alpha, zeta, d, w)
 
 
-def squeezed_normalization(alpha: complex, zeta: complex, d: Deformation,
-                           n_max: int) -> float:
-    """Truncated-series norm of the squeezed expansion."""
-    log_abs = _squeezed_state_logs(alpha, zeta, d, n_max)[0]
-    return math.exp(0.5 * _logsumexp(2.0 * log_abs))
+def squeezed_normalization(alpha: complex, zeta: complex, d: Deformation) -> float:
+    """sqrt(sum |I(n)|^2 / rho_n) of the squeezed series, summed to convergence."""
+    return _series_norm(_squeezed_series(alpha, zeta, d, "squeezed_normalization"),
+                        "squeezed")
 
 
 def nc_squeezed(alpha: complex, zeta: complex, tau: float,
@@ -648,8 +643,9 @@ def pacs_norm_sq(alpha: complex, q: float, m: int) -> float:
 class Family:
     """A command-line state family: its deformation kind, the options it
     requires (in the order they are checked), and ``build(p, n_max)`` and
-    ``norm(p, n_max)``, which read the options from the attributes of ``p``
-    (``alpha`` as one complex)."""
+    ``norm(p)``, which read the options from the attributes of ``p``
+    (``alpha`` as one complex).  ``norm`` is the l2 norm of the family's
+    raw series, whatever truncation ``build`` used."""
 
     kind: str
     requires: tuple
@@ -666,24 +662,24 @@ class Family:
 # so a wrapper installed on a module global sees every build.
 FAMILIES = {
     "glauber": Family("harmonic", (), lambda p, n: glauber(p.alpha, n),
-                      lambda p, n: math.exp(abs(p.alpha) ** 2 / 2.0)),
+                      lambda p: math.exp(abs(p.alpha) ** 2 / 2.0)),
     "nlcs": Family("nc", ("tau",), lambda p, n: nlcs(p.alpha, p.tau, n, basis=p.basis),
-                   lambda p, n: nlcs_normalization(p.alpha, p.tau)),
+                   lambda p: nlcs_normalization(p.alpha, p.tau)),
     "q-coherent": Family("q", ("q",), lambda p, n: q_coherent(p.alpha, p.q, n),
-                         lambda p, n: q_normalization(p.alpha, p.q)),
+                         lambda p: q_normalization(p.alpha, p.q)),
     "gk": Family("nc", ("tau", "J"),
                  lambda p, n: gk_coherent(p.J, p.gamma, p.tau, n, basis=p.basis),
-                 lambda p, n: gk_normalization(p.J, p.tau)),
+                 lambda p: gk_normalization(p.J, p.tau)),
     "nc-squeezed": Family(
         "nc", ("tau",),
         lambda p, n: nc_squeezed(p.alpha, p.zeta, p.tau, n, basis=p.basis),
-        lambda p, n: squeezed_normalization(p.alpha, p.zeta,
-                                            Deformation.perturbative_nc(p.tau), n)),
+        lambda p: squeezed_normalization(p.alpha, p.zeta,
+                                         Deformation.perturbative_nc(p.tau))),
     "ho-squeezed": Family(
         "harmonic", (), lambda p, n: ho_squeezed(p.alpha, p.zeta, n),
-        lambda p, n: squeezed_normalization(p.alpha, p.zeta, Deformation.harmonic(), n)),
+        lambda p: squeezed_normalization(p.alpha, p.zeta, Deformation.harmonic())),
     "cat": Family("q", ("q", "parity"), lambda p, n: cat_q(p.alpha, p.q, p.parity, n),
-                  lambda p, n: math.sqrt(cat_norm_sq(p.alpha, p.q, p.parity))),
+                  lambda p: math.sqrt(cat_norm_sq(p.alpha, p.q, p.parity))),
     "pacs": Family("q", ("q",), lambda p, n: pacs_q(p.alpha, p.q, p.m, n),
-                   lambda p, n: math.sqrt(pacs_norm_sq(p.alpha, p.q, p.m))),
+                   lambda p: math.sqrt(pacs_norm_sq(p.alpha, p.q, p.m))),
 }

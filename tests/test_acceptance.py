@@ -24,7 +24,6 @@ from defock.beamsplitter import (
 )
 from defock.deform import Deformation
 from defock.errors import PerturbativeRegimeWarning
-from defock.fock_io import state_roundtrip
 from defock.measure import calibrate, moment_table
 from defock.metrics import (
     LadderAction,
@@ -35,6 +34,7 @@ from defock.metrics import (
     xp_uncertainty,
 )
 from defock.states import (
+    FockState,
     cat_q,
     gk_coherent,
     glauber,
@@ -387,7 +387,7 @@ def test_c11_property_battery():
         st = quadrature_stats(state, d)
         assert st.var_y * st.var_z >= st.gur_rhs**2 - 1e-9
 
-        back = state_roundtrip(state)
+        back = FockState.from_json(state.to_json())
         assert np.array_equal(back.amps, state.amps)
 
     # beam-splitter unitarity and port symmetry

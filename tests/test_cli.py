@@ -79,6 +79,37 @@ def test_nc_squeezed_outside_radius_exit_3(tmp_path, capsys):
     )
 
 
+def _printed_norm_const(capsys):
+    fields = dict(kv.split("=", 1) for kv in capsys.readouterr().out.split())
+    return float(fields["norm_const"])
+
+
+_NORM_OPTIONS = {
+    "glauber": [], "nlcs": ["--tau", "0.1"], "q-coherent": ["--q", "0.9"],
+    "gk": ["--tau", "0.1", "--J", "1.5"], "nc-squeezed": ["--tau", "0.1", "--zeta", "0.5"],
+    "ho-squeezed": ["--zeta", "0.5"], "cat": ["--q", "0.9", "--parity", "odd"],
+    "pacs": ["--q", "0.9", "--m", "2"],
+}
+
+
+@pytest.mark.parametrize("family", list(_NORM_OPTIONS))
+def test_state_norm_const_does_not_depend_on_nmax(tmp_path, capsys, family):
+    # norm_const is the norm of the whole raw series, not of its first n_max levels
+    printed = []
+    for nmax in ("16", "64"):
+        assert run(["state", "--family", family, "--alpha-re", "1.2", "--nmax", nmax,
+                    *_NORM_OPTIONS[family], "--out", str(tmp_path)]) == 0
+        printed.append(_printed_norm_const(capsys))
+    assert printed[0] == printed[1]
+
+
+def test_state_squeezed_norm_const_of_a_doubled_state(tmp_path, capsys):
+    # the state doubles to 512 levels; the first 64 hold 1/23 of the norm
+    assert run(["state", "--family", "nc-squeezed", "--tau", "0.1", "--alpha-re", "6",
+                "--zeta=-0.8", "--out", str(tmp_path)]) == 0
+    assert _printed_norm_const(capsys) == pytest.approx(437476356563.2128, rel=1e-12)
+
+
 def test_metrics_q_coherent(tmp_path, capsys):
     code = run([
         "metrics", "--family", "q-coherent", "--q", "0.9", "--alpha-re", "1",
@@ -263,6 +294,38 @@ def test_config_merge(tmp_path, capsys):
     assert code == 0
     state = FockState.from_json((tmp_path / "state.json").read_text())
     assert state.n_max == 12
+
+
+def test_config_before_the_subcommand(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"nmax": 16}))
+    assert run(["--config", str(cfg), "state", "--family", "glauber",
+                "--out", str(tmp_path)]) == 0
+    state = FockState.from_json((tmp_path / "state.json").read_text())
+    assert state.n_max == 16
+
+
+def test_config_errors(tmp_path, capsys):
+    good = ["state", "--family", "glauber", "--out", str(tmp_path)]
+    missing = tmp_path / "missing.json"
+    assert run(good + ["--config", str(missing)]) == 1
+    assert capsys.readouterr().err == f"cannot read config {missing}\n"
+    malformed = tmp_path / "malformed.json"
+    malformed.write_text("{not json")
+    assert run(good + ["--config", str(malformed)]) == 2
+    assert capsys.readouterr().err.startswith(f"malformed config {malformed}: ")
+    listed = tmp_path / "list.json"
+    listed.write_text("[1, 2]")
+    assert run(good + ["--config", str(listed)]) == 2
+    assert capsys.readouterr().err == "config must be a JSON object\n"
+    # a bad command line is reported before the config is read
+    assert run(["state", "--out", str(tmp_path), "--config", str(missing)]) == 2
+    err = capsys.readouterr().err
+    assert "the following arguments are required: --family" in err
+    assert "cannot read config" not in err
+    # so is a missing config path, which ends the command line
+    assert run(good + ["--config"]) == 2
+    assert "argument --config: expected one argument" in capsys.readouterr().err
 
 
 def test_determinism_byte_identical(tmp_path):

@@ -8,11 +8,9 @@ from defock.fock_io import (
     ScanTable,
     format_real,
     read_csv,
-    state_roundtrip,
     write_csv,
     write_svg_lineplot,
 )
-from defock.states import glauber, nc_squeezed
 
 
 TRICKY_DOUBLES = [
@@ -112,14 +110,6 @@ def test_svg_deterministic_and_wellformed(tmp_path):
     assert "</svg>" in text
     with pytest.raises(ValidationError):
         write_svg_lineplot(table, "missing", ["A"], tmp_path / "c.svg")
-
-
-def test_state_roundtrip_families():
-    for state in (glauber(0.0, 8), glauber(1 + 0.5j), nc_squeezed(1.0, 0.25, 0.1)):
-        back = state_roundtrip(state)
-        assert np.array_equal(back.amps, state.amps)
-        assert back.tail_mass == state.tail_mass
-        assert back.label == state.label
 
 
 # ------------------------------------------- per-cell writers, reference only

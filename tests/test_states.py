@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from defock.deform import Deformation, log_rho_table
@@ -176,10 +176,10 @@ def _nlcs_normalization_loop(alpha, tau):
     from defock.specfun import log_factorial_table
     from defock.states import _logsumexp
 
+    d = Deformation.perturbative_nc(tau)  # a bad tau is refused at alpha = 0 too
     lam = abs(complex(alpha)) ** 2
     if lam == 0.0:
         return 1.0
-    d = Deformation.perturbative_nc(tau)
     n = 128
     while True:
         log_denom = 0.5 * log_factorial_table(n) + 0.5 * log_f_factorial_table(d, n)
@@ -198,9 +198,9 @@ def _gk_normalization_loop(J, tau):
 
     if J < 0:
         raise ValidationError("J must be >= 0")
+    d = Deformation.perturbative_nc(tau)  # a bad tau is refused at J = 0 too
     if J == 0.0:
         return 1.0
-    d = Deformation.perturbative_nc(tau)
     n = 128
     while True:
         log_abs = 0.5 * np.arange(n, dtype=float) * math.log(J) - 0.5 * log_rho_table(d, n)
@@ -526,31 +526,41 @@ def test_nc_squeezed_coefficient_ratio_tends_to_zeta(tau, zeta):
     assert ratio == pytest.approx(zeta, abs=0.005)
 
 
-def _squeezed_norm_40_digits(alpha, zeta, tau, n_max):
-    """sqrt(sum_{n < n_max} |I(n)|^2 / rho_n) at 40 digits, with the seed
-    I(n) run by its own recurrence and f^2(n) = 1 + tau/2 + tau n/2, so
-    rho_n = prod_{k <= n} k f^2(k); tau = 0 is the harmonic kernel."""
+def _squeezed_norm_40_digits(alpha, zeta, tau):
+    """sqrt(sum_n |I(n)|^2 / rho_n) at 40 digits, with the seed I(n) run by
+    its own recurrence and f^2(n) = 1 + tau/2 + tau n/2, so
+    rho_n = prod_{k <= n} k f^2(k); tau = 0 is the harmonic kernel.  The
+    sum stops once two successive terms are below 1e-50 of the partial sum
+    (two, because the series of alpha = 0 is zero at every odd level)."""
     with mp.workdps(40):
         alpha, zeta, tau = mp.mpc(alpha), mp.mpc(zeta), mp.mpf(tau)
         prev, cur = mp.mpc(1), alpha  # I(n - 1), I(n)
-        rho, total = mp.mpf(1), mp.mpf(1)
-        for n in range(1, n_max):
+        rho, total, last = mp.mpf(1), mp.mpf(1), mp.mpf(1)
+        for n in range(1, 100_000):
             f2 = 1 + tau / 2 + tau * n / 2
             rho *= n * f2
-            total += abs(cur) ** 2 / rho
+            term = abs(cur) ** 2 / rho
+            total += term
+            if max(term, last) < 1e-50 * total:
+                return float(mp.sqrt(total))
+            last = term
             prev, cur = cur, alpha * cur - zeta * n * f2 * prev
-        return float(mp.sqrt(total))
+    raise AssertionError(f"40-digit squeezed sum did not converge at zeta={zeta}")
 
 
 def test_squeezed_normalization_helper():
     for alpha, zeta, d, tau in (
         (1.0, 0.25, Deformation.perturbative_nc(0.1), 0.1),
-        (1.3, -0.8, HARMONIC, 0.0),  # slow: a 63- or 65-level sum is 0.6% off
+        (1.3, -0.8, HARMONIC, 0.0),  # slow: the first 64 levels sum to 8.3% too little
         (0.7 + 0.2j, 0.2 + 0.15j, Deformation.perturbative_nc(0.05), 0.05),
     ):
-        got = squeezed_normalization(alpha, zeta, d, 64)
-        want = _squeezed_norm_40_digits(alpha, zeta, tau, 64)
+        got = squeezed_normalization(alpha, zeta, d)
+        want = _squeezed_norm_40_digits(alpha, zeta, tau)
         assert got == pytest.approx(want, rel=1e-14), (alpha, zeta, tau)
+    # the series diverges on and outside the unit circle
+    for zeta in (1.0, -1.2, 0.6 + 0.8j):
+        with pytest.raises(DivergenceError, match="outside the convergence radius 1"):
+            squeezed_normalization(1.0, zeta, HARMONIC)
 
 
 # -------------------------------------------------------------------- cats
@@ -665,7 +675,7 @@ _NORM_PROPERTY = settings(database=None, derandomize=True, deadline=None, max_ex
 
 def _assert_norm_matches_raw_series(family, **opts):
     p = SimpleNamespace(**opts)
-    assert FAMILIES[family].norm(p, 64) == pytest.approx(summed_norm(family, p), rel=1e-13)
+    assert FAMILIES[family].norm(p) == pytest.approx(summed_norm(family, p), rel=1e-13)
 
 
 @_NORM_PROPERTY
@@ -695,6 +705,24 @@ def test_q_family_norms_match_raw_series(family, q, mag, arg, parity, m):
         return  # the zero vector; cat_q refuses it
     _assert_norm_matches_raw_series(family, alpha=cmath.rect(mag, arg), q=q,
                                     parity=parity, m=m)
+
+
+@_NORM_PROPERTY
+@given(family=st.sampled_from(("nc-squeezed", "ho-squeezed")), mag=st.floats(0.0, 6.0),
+       arg=st.floats(-math.pi, math.pi), zeta_mag=st.floats(0.0, 0.9),
+       zeta_arg=st.floats(-math.pi, math.pi), tau=st.floats(0.0, 0.5))
+@example(family="nc-squeezed", mag=6.0, arg=0.0, zeta_mag=0.8, zeta_arg=math.pi, tau=0.1)
+@example(family="ho-squeezed", mag=1.5, arg=0.0, zeta_mag=0.8, zeta_arg=math.pi, tau=0.0)
+def test_squeezed_norms_match_raw_series(family, mag, arg, zeta_mag, zeta_arg, tau):
+    # the whole series, whatever truncation the state needed
+    p = SimpleNamespace(alpha=cmath.rect(mag, arg), zeta=cmath.rect(zeta_mag, zeta_arg),
+                        tau=tau, basis="perturbed")
+    try:
+        FAMILIES[family].build(p, 64)
+    except TruncationError:
+        assume(False)  # `state` prints no norm_const for a state it cannot build
+    want = _squeezed_norm_40_digits(p.alpha, p.zeta, tau if family == "nc-squeezed" else 0.0)
+    assert FAMILIES[family].norm(p) == pytest.approx(want, rel=1e-13)
 
 
 def test_summed_norms_stop_at_eight_times_max_n_max():
