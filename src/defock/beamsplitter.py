@@ -1,11 +1,15 @@
 """Two-mode beam-splitter transform, reduced density matrices, and
 entanglement entropies.
 
-Two independent routes to the linear entropy of a transformed
-minimal-length coherent state are provided and cross-validated: the
-direct pipeline (split, partial trace, purity) and the closed-form
-quadruple sum over the dressed coefficients.  At matched truncation the
-two are algebraically identical, so they must agree to rounding.
+The linear entropy of a transformed minimal-length coherent state comes
+from the direct pipeline (split, partial trace, purity) and from the
+quadruple sum over the dressed coefficients, tr((D^H D)^2) with D = M^T.
+These are not independent: D^H D = conj(M M^H) is the direct route's Gram
+before normalization, so they agree to rounding by construction, and the
+closed form checks the normalization and the boundary warning, not the
+contraction.  The independent references are
+``linear_entropy_closed_form_naive`` in the tests and
+``perfbench/oracle.split_linear_entropy``.
 """
 
 from __future__ import annotations
@@ -71,13 +75,10 @@ class TwoModeState:
         amps = _as_float_or_complex(self.amps)
         object.__setattr__(self, "amps", amps)
         total = float(np.sum(np.abs(amps) ** 2))
-        if abs(total - 1.0) > 1e-10:
+        # written so that a NaN norm fails it too
+        if not abs(total - 1.0) <= 1e-10:
             raise ValidationError(f"TwoModeState must be unit norm, got {total!r}")
         amps.flags.writeable = False
-
-    @property
-    def dims(self):
-        return self.amps.shape
 
 
 @dataclass(frozen=True, eq=False)

@@ -44,88 +44,80 @@ MAX_GRID_POINTS = 10**6
 _CONTRADICTS = {"nc": ("q", "q"), "q": ("nc", "tau")}
 
 
-def _common_options() -> argparse.ArgumentParser:
-    """The options every subcommand shares, as a parent parser."""
-    p = argparse.ArgumentParser(add_help=False)
+def finite(text: str) -> float:
+    """A finite real: argparse reports nan, inf and malformed text as
+    "invalid finite value"."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
+
+
+def finite_list(text: str) -> list:
+    """A comma list of finite reals; empty entries are skipped."""
+    return [finite(v) for v in text.split(",") if v.strip() != ""]
+
+
+# Every option once, as its add_argument keywords.
+_OPTIONS = {
+    "--family": dict(choices=tuple(states.FAMILIES), required=True),
+    "--deformation": dict(choices=("harmonic", "nc", "q")),
+    "--tau": dict(type=finite),
+    "--q": dict(type=finite),
+    "--alpha-re": dict(type=finite, default=0.0),
+    "--alpha-im": dict(type=finite, default=0.0),
+    "--zeta": dict(type=finite, default=0.0),
+    "--J": dict(type=finite),
+    "--gamma": dict(type=finite, default=0.0),
+    "--m": dict(type=int, default=0),
+    "--parity": dict(choices=("even", "odd")),
+    "--basis": dict(choices=("bare", "perturbed"), default="perturbed"),
+    "--nmax": dict(type=int, default=states.DEFAULT_N_MAX),
+    "--number": dict(choices=("bare", "deformed"), default="bare"),
+    "--omega": dict(type=finite, default=0.5),
+    "--hbar": dict(type=finite, default=1.0),
+    "--tmax": dict(type=finite, required=True),
+    "--points": dict(type=int, required=True),
+    "--nbar": dict(type=finite, help="explicit nbar for t_cl"),
+    "--alphas": dict(type=finite_list, help="comma list of alpha values; a list that starts "
+                     "with a negative value needs the = form, --alphas=-1,0.5"),
+    "--alpha-max": dict(type=finite),
+    "--alpha-steps": dict(type=int),
+    "--taus": dict(type=finite_list, help="comma list of tau values; as for --alphas, a "
+                   "list that starts with a negative value needs the = form"),
+    "--theta": dict(type=finite, default=math.pi / 2.0),
+    "--phi": dict(type=finite, default=0.0),
+    "--workers": dict(type=int, default=1),
+    "--moments": dict(type=int, default=10),
+    "--tol": dict(type=finite, default=1e-6),
     # suppressed default: a subparser would otherwise reset a --config given
     # before the subcommand to None
-    p.add_argument("--config", default=argparse.SUPPRESS,
-                   help="JSON file with default option values")
-    p.add_argument("--deformation", choices=("harmonic", "nc", "q"))
-    p.add_argument("--tau", type=float)
-    p.add_argument("--q", type=float)
-    p.add_argument("--alpha-re", type=float, default=0.0)
-    p.add_argument("--alpha-im", type=float, default=0.0)
-    p.add_argument("--zeta", type=float, default=0.0)
-    p.add_argument("--J", type=float)
-    p.add_argument("--gamma", type=float, default=0.0)
-    p.add_argument("--m", type=int, default=0)
-    p.add_argument("--parity", choices=("even", "odd"))
-    p.add_argument("--basis", choices=("bare", "perturbed"), default="perturbed")
-    p.add_argument("--nmax", type=int, default=states.DEFAULT_N_MAX)
-    p.add_argument("--theta", type=float, default=math.pi / 2.0)
-    p.add_argument("--phi", type=float, default=0.0)
-    p.add_argument("--omega", type=float, default=0.5)
-    p.add_argument("--hbar", type=float, default=1.0)
-    p.add_argument("--out", default=".")
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument(
-        "--format",
-        choices=("csv", "json", "svg", "all"),
-        default="all",
-        help="restrict which artifact kinds are written",
-    )
-    return p
+    "--config": dict(default=argparse.SUPPRESS, help="JSON file with default option values"),
+    "--out": dict(default="."),
+    "--format": dict(choices=("csv", "json", "svg", "all"), default="all",
+                     help="restrict which artifact kinds are written"),
+}
 
 
 def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="defock",
-        description="Deformed-oscillator state toolkit",
-    )
-    parser.add_argument("--config", help="JSON file with default option values")
+    """The parser of ``_COMMANDS``.  ``defaults`` (a config's keys and
+    values) replace the defaults of the options each subcommand reads."""
+    # no abbreviations: entropy-scan --tau would otherwise be read as --taus
+    parser = argparse.ArgumentParser(prog="defock", allow_abbrev=False,
+                                     description="Deformed-oscillator state toolkit")
+    parser.add_argument("--config", **_OPTIONS["--config"])
     sub = parser.add_subparsers(dest="command", required=True)
-    # the subparsers share the parent's action objects and set_defaults below
-    # writes into them, so every call builds its own parent
-    common = [_common_options()]
-
-    p_state = sub.add_parser("state", parents=common,
-                             help="construct a state, dump JSON + CSV")
-    p_state.add_argument("--family", choices=tuple(states.FAMILIES), required=True)
-
-    p_metrics = sub.add_parser("metrics", parents=common, help="nonclassicality report")
-    p_metrics.add_argument("--family", choices=tuple(states.FAMILIES), required=True)
-    p_metrics.add_argument("--number", choices=("bare", "deformed"), default="bare")
-
-    p_auto = sub.add_parser("autocorr", parents=common,
-                            help="Gazeau-Klauder autocorrelation trace")
-    p_auto.add_argument("--tmax", type=float, required=True)
-    p_auto.add_argument("--points", type=int, required=True)
-    p_auto.add_argument("--nbar", type=float, help="explicit nbar for t_cl")
-
-    p_scan = sub.add_parser("entropy-scan", parents=common,
-                            help="beam-splitter entropy scan")
-    p_scan.add_argument(
-        "--family",
-        choices=[name for name, spec in states.FAMILIES.items() if spec.scannable],
-        required=True,
-    )
-    p_scan.add_argument("--alphas", help="comma list of alpha values; a list that "
-                        "starts with a negative value needs the = form, --alphas=-1,0.5")
-    p_scan.add_argument("--alpha-max", type=float)
-    p_scan.add_argument("--alpha-steps", type=int)
-    p_scan.add_argument("--taus", help="comma list of tau values; as for --alphas, a "
-                        "list that starts with a negative value needs the = form")
-
-    p_meas = sub.add_parser("measure-check", parents=common,
-                            help="measure moment verification")
-    p_meas.add_argument("--moments", type=int, default=10)
-    p_meas.add_argument("--tol", type=float, default=1e-6)
-
-    if defaults:
-        mapped = {k.replace("-", "_"): v for k, v in defaults.items()}
-        for p in (parser, p_state, p_metrics, p_auto, p_scan, p_meas):
-            p.set_defaults(**mapped)
+    # argparse runs an option's type on a string default only, so every
+    # config value goes in as its JSON text
+    texts = {key.replace("-", "_"): value if isinstance(value, str) else json.dumps(value)
+             for key, value in (defaults or {}).items()}
+    for name, (_, help_text, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        for option in (*options, "--config", "--out", "--format"):
+            flag, own = (option, {}) if isinstance(option, str) else option
+            dest = p.add_argument(flag, **{**_OPTIONS[flag], **own}).dest
+            if dest in texts:
+                p.set_defaults(**{dest: texts[dest]})
     return parser
 
 
@@ -152,6 +144,8 @@ def _family_state(args):
         if getattr(args, option) is None:
             raise ValidationError(f"--{option} is required for {family}")
     args.alpha = complex(args.alpha_re, args.alpha_im)
+    if math.isinf(math.hypot(args.alpha_re, args.alpha_im)):
+        raise ValidationError("|alpha| exceeds the double range")
     if spec.kind == "nc":
         # before the state: a negative tau is reported in the deformation's words
         deformation = Deformation.perturbative_nc(args.tau)
@@ -250,15 +244,9 @@ def cmd_autocorr(args) -> int:
     return EXIT_OK
 
 
-def _parse_grid(text):
-    values = [float(v) for v in text.split(",") if v.strip() != ""]
-    return values
-
-
 def cmd_entropy_scan(args) -> int:
-    family = args.family.replace("-", "_")
     if args.alphas:
-        alphas = _parse_grid(args.alphas)
+        alphas = args.alphas
     elif args.alpha_max is not None and args.alpha_steps:
         if args.alpha_steps < 1:
             raise ValidationError("--alpha-steps must be >= 1")
@@ -268,21 +256,12 @@ def cmd_entropy_scan(args) -> int:
         alphas = list(np.linspace(0.0, args.alpha_max, args.alpha_steps))
     else:
         raise ValidationError("give --alphas or --alpha-max/--alpha-steps")
-    if not alphas:
-        raise ValidationError("alpha grid is empty")
-    taus = _parse_grid(args.taus) if args.taus else None
+    taus = args.taus or None
     if "tau" in states.FAMILIES[args.family].requires and not taus:
         raise ValidationError(f"--taus is required for family {args.family}")
     bs = bsm.BeamSplitter(theta=args.theta, phi=args.phi)
-    table = bsm.entropy_scan(
-        family,
-        alphas,
-        taus,
-        zeta=args.zeta,
-        bs=bs,
-        n_max=args.nmax,
-        workers=args.workers,
-    )
+    table = bsm.entropy_scan(args.family.replace("-", "_"), alphas, taus, zeta=args.zeta,
+                             bs=bs, n_max=args.nmax, workers=args.workers)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if _wants(args, "csv"):
@@ -298,8 +277,8 @@ def cmd_entropy_scan(args) -> int:
 
 
 def cmd_measure_check(args) -> int:
-    if args.tau is None or args.tau <= 0:
-        raise ValidationError("measure-check needs --tau > 0")
+    if args.tau is None:
+        raise ValidationError("measure-check needs --tau")
     if args.moments < 0:
         raise ValidationError("--moments must be >= 0")
     params = measure.calibrate(args.tau)
@@ -329,12 +308,25 @@ def cmd_measure_check(args) -> int:
     return EXIT_OK
 
 
-_DISPATCH = {
-    "state": cmd_state,
-    "metrics": cmd_metrics,
-    "autocorr": cmd_autocorr,
-    "entropy-scan": cmd_entropy_scan,
-    "measure-check": cmd_measure_check,
+_STATE_OPTIONS = ("--family", "--deformation", "--tau", "--q", "--alpha-re", "--alpha-im",
+                  "--zeta", "--J", "--gamma", "--m", "--parity", "--basis", "--nmax")
+
+# Every subcommand once: its handler, its help and the options it reads
+# besides --config, --out and --format.  A (flag, keywords) pair replaces
+# some of that option's keywords for this subcommand.
+_COMMANDS = {
+    "state": (cmd_state, "construct a state, dump JSON + CSV", _STATE_OPTIONS),
+    "metrics": (cmd_metrics, "nonclassicality report", (*_STATE_OPTIONS, "--number")),
+    "autocorr": (cmd_autocorr, "Gazeau-Klauder autocorrelation trace",
+                 ("--J", "--tau", "--gamma", "--omega", "--hbar", "--nmax", "--tmax",
+                  "--points", "--nbar")),
+    "entropy-scan": (cmd_entropy_scan, "beam-splitter entropy scan", (
+        ("--family", dict(choices=[name for name, spec in states.FAMILIES.items()
+                                   if spec.scannable])),
+        "--alphas", "--alpha-max", "--alpha-steps", "--taus", "--zeta", "--theta", "--phi",
+        "--nmax", "--workers")),
+    "measure-check": (cmd_measure_check, "measure moment verification",
+                      ("--tau", "--moments", "--tol")),
 }
 
 
@@ -342,10 +334,8 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         args = _default_parser().parse_args(argv)
-        if args.config:
-            # required options, choices and types are checked on explicit
-            # flags only, so a bad command line is reported here, before the
-            # config is read
+        if getattr(args, "config", None):
+            # a bad command line is reported here, before the config is read
             try:
                 defaults = json.loads(Path(args.config).read_text(encoding="utf-8"))
             except OSError:
@@ -358,10 +348,16 @@ def main(argv=None) -> int:
                 print("config must be a JSON object", file=sys.stderr)
                 return EXIT_VALIDATION
             args = build_parser(defaults).parse_args(argv)
+            # argparse checks the choices of explicit flags only
+            for dest, value in vars(args).items():
+                choices = _OPTIONS.get("--" + dest.replace("_", "-"), {}).get("choices")
+                if choices and value is not None and value not in choices:
+                    print(f"config value {value!r} is not a choice of --{dest}", file=sys.stderr)
+                    return EXIT_VALIDATION
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_VALIDATION
     try:
-        return _DISPATCH[args.command](args)
+        return _COMMANDS[args.command][0](args)
     except (ValidationError, DegenerateStateError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

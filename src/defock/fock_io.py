@@ -8,6 +8,7 @@ significant digits so that re-parsing reproduces the exact double.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -130,9 +131,17 @@ _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 _FLAT_SPAN = 1e-12
 
 
+def _widen(lo: float, hi: float):
+    """(lo - 1, hi + 1); where that rounds back to an empty range, which
+    takes |lo| or |hi| above 2^53, lo and hi moved apart by 2^-50 of the
+    larger, kept inside the finite doubles."""
+    if lo - 1.0 < hi + 1.0:
+        return lo - 1.0, hi + 1.0
+    step = 2.0**-50 * max(abs(lo), abs(hi))
+    return max(lo - step, -sys.float_info.max), min(hi + step, sys.float_info.max)
+
+
 def _ticks(lo: float, hi: float, count: int = 5):
-    if not lo < hi:
-        lo, hi = lo - 1.0, hi + 1.0
     step = (hi - lo) / (count - 1)
     return [lo + i * step for i in range(count)]
 
@@ -168,9 +177,9 @@ def write_svg_lineplot(table: ScanTable, x_col: str, y_cols, path,
     x_lo, x_hi = float(xs.min()), float(xs.max())
     y_lo, y_hi = float(ys.min()), float(ys.max())
     if x_lo == x_hi:
-        x_lo, x_hi = x_lo - 1.0, x_hi + 1.0
+        x_lo, x_hi = _widen(x_lo, x_hi)
     if y_hi - y_lo <= _FLAT_SPAN * max(abs(y_lo), abs(y_hi)):
-        y_lo, y_hi = y_lo - 1.0, y_hi + 1.0
+        y_lo, y_hi = _widen(y_lo, y_hi)
     pad = 0.04 * (y_hi - y_lo)
     y_lo, y_hi = y_lo - pad, y_hi + pad
 

@@ -15,6 +15,7 @@ does not normalize rho_0 to 1 on its own.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -24,6 +25,7 @@ from .errors import QuadratureError, ValidationError
 from .specfun import bessel_k_log, log_gamma
 
 __all__ = [
+    "MIN_TAU",
     "MeasureParams",
     "omega",
     "calibrate",
@@ -33,6 +35,16 @@ __all__ = [
 ]
 
 _QUAD_LIMIT = 300
+
+# Below this tau the uncalibrated zeroth-moment integrand leaves the double
+# range: its peak, at u = sqrt(t) ~ 0.71, is about e^660 at tau 0.0125 and
+# e^709 (the largest double) at tau 0.0118, and it grows as tau falls, so
+# calibrate refuses a smaller tau before any quadrature.
+MIN_TAU = 0.0125
+# log of the largest double: rho_n above it cannot be a target
+_LOG_MAX = math.log(sys.float_info.max)
+# rho_n >= n! for the nc kernel (every f^2 >= 1), and 171! overflows
+_MAX_MOMENT = 170
 
 
 @dataclass(frozen=True)
@@ -101,8 +113,12 @@ def _moment_integral(n: int, p: MeasureParams,
         return math.exp(logv)
 
     hi = math.sqrt(upper) if math.isfinite(upper) else math.inf
-    value, err = quad(integrand, 0.0, hi, limit=_QUAD_LIMIT, epsabs=0.0, epsrel=1e-10)
-    if value <= 0.0 or err > 1e-8 * abs(value):
+    try:
+        value, err = quad(integrand, 0.0, hi, limit=_QUAD_LIMIT, epsabs=0.0, epsrel=1e-10)
+    except OverflowError as exc:
+        raise QuadratureError(f"moment integrand left the double range (n={n})") from exc
+    # written so that an inf or NaN value or error estimate fails it too
+    if not (0.0 < value < math.inf and err <= 1e-8 * value):
         raise QuadratureError(
             f"moment quadrature did not converge (n={n}, value={value!r}, err={err!r})"
         )
@@ -116,9 +132,10 @@ def calibrate(tau: float) -> MeasureParams:
     beta = 0 and mu = 1 + 2/tau make the Mellin transform of the Bessel
     kernel reproduce Gamma(n+1) Gamma(n+2+2/tau), the n-dependence of
     rho_n; the returned ``norm`` enforces moment(0) = rho_0 = 1.
+    A tau below ``MIN_TAU`` is refused.
     """
-    if tau <= 0:
-        raise ValidationError("tau must be > 0")
+    if not tau >= MIN_TAU:
+        raise ValidationError(f"tau must be >= {MIN_TAU}, got {tau!r}")
     raw = MeasureParams(tau=tau, mu=1.0 + 2.0 / tau, beta=0.0, norm=1.0)
     zeroth, _ = _moment_integral(0, raw)
     return MeasureParams(tau=tau, mu=raw.mu, beta=raw.beta, norm=1.0 / zeroth)
@@ -142,26 +159,29 @@ class MomentCheck:
         return abs(self.computed - self.target) / abs(self.target)
 
 
-def _rho_target(tau: float, n: int) -> float:
+def _log_rho_target(tau: float, n: int) -> float:
     # the moment identity is exact in tau, so the perturbative-regime
     # warning attached to the deformation object does not apply here
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         d = Deformation.perturbative_nc(tau)
-    return math.exp(log_rho(d, n))
+    return log_rho(d, n)
 
 
 def moment_check(n: int, p: MeasureParams, upper: float = math.inf) -> MomentCheck:
     """Compare int_0^upper t^n Omega(t) dt against rho_n."""
     if n < 0:
         raise ValidationError("moment order must be >= 0")
-    target = _rho_target(p.tau, n)
+    target = math.exp(_log_rho_target(p.tau, n))
     computed, quad_err = _moment_integral(n, p, upper)
     return MomentCheck(n=n, computed=computed, target=target, quad_err=quad_err)
 
 
 def moment_table(p: MeasureParams, n_top: int) -> list:
-    """Moment checks for n = 0 .. n_top."""
+    """Moment checks for n = 0 .. n_top; an n_top whose rho_n leaves the
+    double range is refused before any quadrature."""
     if n_top < 0:
         raise ValidationError("n_top must be >= 0")
+    if n_top > _MAX_MOMENT or _log_rho_target(p.tau, n_top) > _LOG_MAX:
+        raise ValidationError(f"rho_{n_top} at tau={p.tau!r} exceeds the double range")
     return [moment_check(n, p) for n in range(n_top + 1)]

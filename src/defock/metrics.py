@@ -350,19 +350,24 @@ def revival_times(J: float, tau: float, omega: float, hbar: float = 1.0, *,
     With E_n = hbar omega (A n + B n^2): t_cl = 2 pi / (omega (A + 2 B nbar))
     and t_rev = 2 pi / (omega B), independent of nbar.  ``nbar=None`` takes
     nbar as the mean level of the bare Gazeau-Klauder state of J.  At
-    tau = 0 the revival time is infinite and returned as ``math.inf``.
+    tau = 0, and wherever 2 pi / (omega B) overflows, the revival time is
+    returned as ``math.inf``.
     """
     if omega <= 0 or hbar <= 0:
         raise ValidationError("omega and hbar must be positive")
     sc = SpectrumCoeffs.from_tau(tau)
     if nbar is not None:
         nb = float(nbar)
+        if not nb >= 0:
+            raise ValidationError(f"nbar must be >= 0, got {nbar!r}")
     elif J <= 0:
         raise ValidationError("the mean nbar needs J > 0")
     else:
         nb = gk_coherent(J, 0.0, tau, n_max, basis="bare").mean_n()
     t_cl = 2.0 * math.pi / (omega * (sc.A + 2.0 * sc.B * nb))
-    t_rev = math.inf if sc.B == 0.0 else 2.0 * math.pi / (omega * sc.B)
+    # omega B underflows to 0 where 2 pi / (omega B) overflows
+    rate = omega * sc.B
+    t_rev = math.inf if rate == 0.0 else 2.0 * math.pi / rate
     return RevivalTimes(t_cl=t_cl, t_rev=t_rev)
 
 

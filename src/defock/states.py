@@ -34,7 +34,6 @@ enters.
 
 from __future__ import annotations
 
-import cmath
 import json
 import math
 from collections.abc import Callable
@@ -107,7 +106,8 @@ class FockState:
         amps = np.asarray(self.amps, dtype=complex)
         object.__setattr__(self, "amps", amps)
         norm_sq = float(np.vdot(amps, amps).real)
-        if abs(norm_sq - 1.0) > _NORM_TOL:
+        # written so that a NaN norm fails it too
+        if not abs(norm_sq - 1.0) <= _NORM_TOL:
             raise ValidationError(
                 f"FockState must be unit norm (got |psi|^2 = {norm_sq!r})"
             )
@@ -284,7 +284,8 @@ def _power_series_logs(alpha: complex, log_denom: np.ndarray):
         phase = np.ones(len(log_denom), dtype=complex)
         return log_abs, phase
     log_abs = n * math.log(mag) - log_denom
-    phase = np.exp(1j * cmath.phase(alpha) * n)
+    # not cmath.phase, which raises where the angle underflows (alpha = 1e308 + 1e-300j)
+    phase = np.exp(1j * math.atan2(alpha.imag, alpha.real) * n)
     return log_abs, phase
 
 
@@ -367,7 +368,7 @@ def _q_kernel(alpha: complex, q: float, what: str) -> Deformation:
     """The q deformation, after checking that x = |alpha|^2 (1 - q^2) lies
     inside the radius x < 1 that every q series shares."""
     d = Deformation.q_deformed(q)
-    lam = abs(alpha) ** 2
+    lam = abs(alpha) * abs(alpha)  # inf, not OverflowError, past 1e154
     if q < 1.0 and lam * (1.0 - q * q) >= 1.0 - _RADIUS_MARGIN:
         raise DivergenceError(
             f"{what}: |alpha|^2={lam:.6g} outside the convergence radius "
@@ -593,7 +594,7 @@ def _pacs_series(alpha: complex, q: float, m: int):
         raise ValidationError("photon-added count m must be >= 0")
     alpha = complex(alpha)
     d = _q_kernel(alpha, q, "pacs_q")
-    arg = cmath.phase(alpha) if alpha != 0 else 0.0
+    arg = math.atan2(alpha.imag, alpha.real) if alpha != 0 else 0.0
     mag = abs(alpha)
 
     def logs(w):
@@ -644,8 +645,10 @@ class Family:
     """A command-line state family: its deformation kind, the options it
     requires (in the order they are checked), and ``build(p, n_max)`` and
     ``norm(p)``, which read the options from the attributes of ``p``
-    (``alpha`` as one complex).  ``norm`` is the l2 norm of the family's
-    raw series, whatever truncation ``build`` used."""
+    (``alpha`` as one complex).  ``norm`` does not depend on the truncation
+    ``build`` used: the l2 norm of the family's raw series, except for
+    ``cat`` and ``pacs``, where it is the ratio of that norm to the
+    ``q-coherent`` one (times 2 for ``cat``)."""
 
     kind: str
     requires: tuple

@@ -12,6 +12,7 @@ from defock import beamsplitter
 from defock.beamsplitter import (
     BeamSplitter,
     DensityMatrix,
+    TwoModeState,
     apply_beamsplitter,
     entropy_scan,
     linear_entropy,
@@ -196,6 +197,14 @@ def test_partial_trace_validates():
     assert abs(float(np.trace(rho.rho).real) - 1.0) < 1e-10
     with pytest.raises(ValidationError):
         partial_trace(two, "x")
+
+
+def test_two_mode_state_must_be_unit_norm():
+    with pytest.raises(ValidationError, match="unit norm"):
+        TwoModeState(np.array([[1.0, 1.0], [0.0, 0.0]]))
+    # a NaN norm fails the check too
+    with pytest.raises(ValidationError, match="unit norm"):
+        TwoModeState(np.array([[math.nan, 0.0], [0.0, 0.0]]))
 
 
 def test_bad_density_matrix_rejected():

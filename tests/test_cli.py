@@ -1,13 +1,18 @@
+import argparse
 import json
+import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import defock
-from defock.cli import MAX_GRID_POINTS, main
+from defock.cli import MAX_GRID_POINTS, build_parser, main
 from defock.fock_io import read_csv
 from defock.states import FockState
 
@@ -551,3 +556,241 @@ def test_tracer_counts_one_build_per_state_job_and_scan_point(tmp_path):
             "squeezed_normalization", "cat_norm_sq", "pacs_norm_sq",
         )
     )
+
+
+# The options each subcommand reads, restated here, independently of the
+# program, so a change to the commands table shows.  Every subcommand also
+# reads --config, --out and --format.
+_STATE_READS = {"--family", "--deformation", "--tau", "--q", "--alpha-re", "--alpha-im",
+                "--zeta", "--J", "--gamma", "--m", "--parity", "--basis", "--nmax"}
+_READS = {
+    "state": _STATE_READS,
+    "metrics": _STATE_READS | {"--number"},
+    "autocorr": {"--J", "--tau", "--gamma", "--omega", "--hbar", "--nmax", "--tmax",
+                 "--points", "--nbar"},
+    "entropy-scan": {"--family", "--alphas", "--alpha-max", "--alpha-steps", "--taus",
+                     "--zeta", "--theta", "--phi", "--nmax", "--workers"},
+    "measure-check": {"--tau", "--moments", "--tol"},
+}
+
+
+def test_each_subcommand_reads_its_own_options():
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == set(_READS)
+    for name, parser in sub.choices.items():
+        flags = {flag for a in parser._actions for flag in a.option_strings}
+        assert flags == _READS[name] | {"--config", "--out", "--format", "-h", "--help"}, name
+
+
+@pytest.mark.parametrize("argv", [
+    ["measure-check", "--tau", "0.5", "--nmax", "64"],
+    ["entropy-scan", "--family", "glauber", "--alphas", "0.5", "--tau", "0.1"],
+    ["state", "--family", "glauber", "--workers", "2"],
+    ["autocorr", "--J", "1.5", "--tau", "0.1", "--tmax", "10", "--points", "11",
+     "--alpha-re", "1"],
+    ["metrics", "--family", "glauber", "--alpha-re", "1", "--tol", "1e-3"],
+])
+def test_an_option_the_subcommand_does_not_read_exits_2(tmp_path, capsys, argv):
+    assert run(argv + ["--out", str(tmp_path)]) == 2
+    assert "unrecognized arguments: " + " ".join(argv[-2:]) in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["state", "--family", "glauber", "--alpha-re", "nan"], "--alpha-re"),
+    (["state", "--family", "nlcs", "--tau", "inf", "--alpha-re", "1"], "--tau"),
+    (["measure-check", "--tau", "0.5", "--tol", "nan"], "--tol"),
+    (["autocorr", "--J", "1.5", "--tau", "0.1", "--tmax=-inf", "--points", "11"], "--tmax"),
+    (["entropy-scan", "--family", "glauber", "--alphas", "1,x"], "--alphas"),
+    (["entropy-scan", "--family", "nlcs", "--alphas", "1", "--taus", "0.1,nan"], "--taus"),
+    (["entropy-scan", "--family", "glauber", "--alphas", "1", "--theta", "1e400"], "--theta"),
+])
+def test_non_finite_and_malformed_reals_exit_2(tmp_path, capsys, argv, option):
+    assert run(argv + ["--out", str(tmp_path)]) == 2
+    assert f"argument {option}: invalid finite" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("config, message", [
+    ({"nmax": None}, "argument --nmax: invalid int value: 'null'"),
+    ({"nmax": 16.5}, "argument --nmax: invalid int value: '16.5'"),
+    ({"nmax": True}, "argument --nmax: invalid int value: 'true'"),
+    ({"alpha-re": [1]}, "argument --alpha-re: invalid finite value: '[1]'"),
+    ({"alpha-re": "nan"}, "argument --alpha-re: invalid finite value: 'nan'"),
+    ({"format": "png"}, "config value 'png' is not a choice of --format"),
+    ({"deformation": 1}, "config value '1' is not a choice of --deformation"),
+])
+def test_config_values_pass_the_option_types_and_choices(tmp_path, capsys, config, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert run(["state", "--family", "glauber", "--config", str(cfg),
+                "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_keys_a_subcommand_does_not_read_are_ignored(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"alpha-re": 1.0, "nmax": 16, "moments": 2, "points": 11,
+                               "workers": "many", "tol": None}))
+    assert run(["state", "--family", "glauber", "--config", str(cfg),
+                "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.startswith("family=glauber n_max=16 ")
+    assert run(["measure-check", "--tau", "1", "--config", str(cfg),
+                "--out", str(tmp_path)]) == 2
+    assert "argument --tol: invalid finite value: 'null'" in capsys.readouterr().err
+
+
+def test_typed_config_values_match_the_flags(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"alphas": "0.5,1", "taus": 0.1, "nmax": "24"}))
+    assert run(["entropy-scan", "--family", "nlcs", "--config", str(cfg), "--format", "csv",
+                "--out", str(tmp_path / "c")]) == 0
+    assert run(["entropy-scan", "--family", "nlcs", "--alphas", "0.5,1", "--taus", "0.1",
+                "--nmax", "24", "--format", "csv", "--out", str(tmp_path / "f")]) == 0
+    assert ((tmp_path / "c" / "entropy_scan.csv").read_bytes()
+            == (tmp_path / "f" / "entropy_scan.csv").read_bytes())
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["measure-check", "--tau", "0.01"], "tau must be >= 0.0125, got 0.01"),
+    (["measure-check", "--tau", "1e-300"], "tau must be >= 0.0125, got 1e-300"),
+    (["measure-check", "--tau", "0.5", "--moments", "150"],
+     "rho_150 at tau=0.5 exceeds the double range"),
+    (["state", "--family", "nlcs", "--tau", "1e308", "--alpha-re", "1"],
+     "FockState must be unit norm (got |psi|^2 = nan)"),
+])
+def test_inputs_outside_the_numeric_domain_exit_2(tmp_path, capsys, argv, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert run(argv + ["--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == f"validation error: {message}"
+
+
+def test_entropy_scan_flags_rows_whose_state_is_nan(tmp_path, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert run(["entropy-scan", "--family", "nlcs", "--alphas", "0.5,1",
+                    "--taus", "1e308", "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out == "rows=2 flagged=2\n"
+    assert read_csv(tmp_path / "entropy_scan.csv").column("flag") == ["ValidationError"] * 2
+
+
+def test_entropy_scan_of_one_huge_alpha_writes_its_plot(tmp_path):
+    assert run(["entropy-scan", "--family", "glauber", "--alphas", "1e308",
+                "--out", str(tmp_path)]) == 0
+    assert "<svg" in (tmp_path / "entropy_scan.svg").read_text()
+
+
+def _readme_commands():
+    """The ``defock`` commands of README's "Command line" block, as argv lists."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(cmd)[1:] for cmd in block.replace("\\\n", " ").splitlines()
+            if cmd.startswith("defock ")]
+
+
+def test_readme_commands_run(tmp_path):
+    commands = _readme_commands()
+    assert {argv[0] for argv in commands} == set(_READS)
+    for argv in commands:
+        assert run(argv + ["--out", str(tmp_path)]) == 0, argv
+
+
+# Bad and edge values for every option: reals, integers and comma grids.
+# The sizes that set an example's cost are capped: --points at 50,
+# --alpha-steps at 5, --moments at 3, and --workers at 1, so no example
+# starts a process pool.
+_REALS = ("nan", "inf", "-inf", "1e308", "-1e308", "1.7976931348623157e308", "1e-300", "0",
+          "-1", "x1", "0.5")
+_INTS = ("-1", "0", "1", "513", "1.5", "x1", "3")
+_GRIDS = ("", "1,x", "nan", "1e308", "-1,0.5", "0.5,1")
+
+
+def _sized(top):
+    return tuple(v for v in _INTS if v in ("1.5", "x1") or int(v) <= top) + (str(top),)
+
+
+_POOLS = {
+    "--family": tuple(defock.states.FAMILIES) + ("bogus",),
+    "--deformation": ("harmonic", "nc", "q"), "--parity": ("even", "odd"),
+    "--basis": ("bare", "perturbed"), "--number": ("bare", "deformed"),
+    "--format": ("csv", "json", "svg", "all"),
+    "--m": _INTS, "--nmax": _INTS, "--points": _sized(50), "--alpha-steps": _sized(5),
+    "--moments": _sized(3), "--workers": _sized(1),
+    "--alphas": _GRIDS, "--taus": _GRIDS,
+}
+_CONFIGS = ({"nmax": None}, {"alpha-re": [1]}, {"nmax": 16.5}, {"tau": "inf"},
+            {"format": "png"})
+# A command that runs, per subcommand.  An example drops some of its options
+# or sets them to pool values, so that most bad values meet otherwise good
+# input and reach the code past the parser.
+_GOOD = {
+    "state": {"--family": "nlcs", "--tau": "0.1", "--alpha-re": "1"},
+    "metrics": {"--family": "q-coherent", "--q": "0.9", "--alpha-re": "1"},
+    "autocorr": {"--J": "1.5", "--tau": "0.1", "--tmax": "30", "--points": "50"},
+    "entropy-scan": {"--family": "nlcs", "--alphas": "0.5,1", "--taus": "0.1", "--nmax": "16"},
+    "measure-check": {"--tau": "0.5", "--moments": "3"},
+}
+
+
+# the settings of the norm property tests in test_states.py
+@settings(database=None, derandomize=True, deadline=None, max_examples=60)
+@given(data=st.data())
+@pytest.mark.parametrize("command", list(_READS))
+def test_main_never_raises(tmp_path_factory, command, data):
+    out = tmp_path_factory.mktemp("fuzz")
+    opts = dict(_GOOD[command])
+    options = sorted(_READS[command] | {"--format"})
+    for option in data.draw(st.sets(st.sampled_from(options), min_size=1), "changed"):
+        value = data.draw(st.none() | st.sampled_from(_POOLS.get(option, _REALS)), option)
+        opts.pop(option, None)
+        if value is not None:
+            opts[option] = value
+    argv = [command] + [f"{option}={value}" for option, value in opts.items()]
+    config = data.draw(st.none() | st.sampled_from(_CONFIGS), "config")
+    if config is not None:
+        (out / "cfg.json").write_text(json.dumps(config))
+        argv += ["--config", str(out / "cfg.json")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code = main(argv + ["--out", str(out / "o")])
+    assert type(code) is int and 0 <= code <= 4
+
+
+@pytest.mark.parametrize("command", list(_READS))
+def test_main_never_raises_on_one_changed_option(tmp_path, command):
+    # every pool value, and the option left out, for each option in turn
+    for option in sorted(_READS[command] | {"--format"}):
+        for value in (None, *_POOLS.get(option, _REALS)):
+            opts = dict(_GOOD[command])
+            opts.pop(option, None)
+            if value is not None:
+                opts[option] = value
+            argv = [command] + [f"{key}={text}" for key, text in opts.items()]
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                code = main(argv + ["--out", str(tmp_path)])
+            assert type(code) is int and 0 <= code <= 4, argv
+
+
+# Inputs that raised out of main before, one per place in the code.
+@pytest.mark.parametrize("argv, code", [
+    # abs(alpha) ** 2 overflowed in the q radius check
+    (["state", "--family", "pacs", "--q", "0.5", "--alpha-im=1e308"], 3),
+    # cmath.phase raised where the angle of alpha underflows
+    (["metrics", "--family", "glauber", "--alpha-re", "1e308", "--alpha-im", "1e-300"], 3),
+    # abs(alpha) of two components near the largest double
+    (["state", "--family", "glauber", "--alpha-re", "1.7e308", "--alpha-im", "1.7e308"], 2),
+    # omega B underflowed to 0 in the revival time
+    (["autocorr", "--J", "1", "--tau", "1e-300", "--omega", "1e-300", "--tmax", "1",
+      "--points", "3"], 0),
+    # A + 2 B nbar = 0 at tau 2 and nbar -1
+    (["autocorr", "--J", "1", "--tau", "2", "--nbar=-1", "--tmax", "1", "--points", "3"], 2),
+])
+def test_extreme_finite_inputs_exit_with_a_code(tmp_path, argv, code):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert run(argv + ["--out", str(tmp_path)]) == code

@@ -6,6 +6,7 @@ import pytest
 from defock.errors import ValidationError
 from defock.fock_io import (
     ScanTable,
+    _widen,
     format_real,
     read_csv,
     write_csv,
@@ -317,3 +318,23 @@ def test_svg_draws_a_curve_flat_up_to_rounding_as_flat(tmp_path, level):
                       rows=[[a, level * (1.0 + 1e-9 * i)] for i, a in enumerate(alphas)])
     write_svg_lineplot(trend, "alpha", ["S"], tmp_path / "trend.svg")
     assert (tmp_path / "trend.svg").read_bytes() != (tmp_path / "flat.svg").read_bytes()
+
+
+@pytest.mark.parametrize("value", [0.0, 3.0, -2.5e15, 2.0**53])
+def test_svg_constant_axis_widened_by_one_where_that_works(tmp_path, value):
+    table = ScanTable(columns=["x", "y"], rows=[[value, value], [value, value]])
+    write_svg_lineplot(table, "x", ["y"], tmp_path / "new.svg")
+    write_svg_lineplot_loop(table, "x", ["y"], tmp_path / "ref.svg")
+    assert (tmp_path / "new.svg").read_bytes() == (tmp_path / "ref.svg").read_bytes()
+
+
+@pytest.mark.parametrize("value", [2.0**54 + 2.0, 1e308, -1e308, 1.7976931348623157e308,
+                                   -1.7976931348623157e308])
+def test_svg_constant_axis_past_2_53_keeps_a_range(tmp_path, value):
+    # value - 1 and value + 1 round back to value here
+    table = ScanTable(columns=["x", "y"], rows=[[value, value], [value, value]])
+    write_svg_lineplot(table, "x", ["y"], tmp_path / "plot.svg")
+    svg = (tmp_path / "plot.svg").read_text()
+    assert "<polyline" in svg and "nan" not in svg and "inf" not in svg
+    lo, hi = _widen(value, value)
+    assert lo < hi and math.isfinite(lo) and math.isfinite(hi)

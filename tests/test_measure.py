@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from defock import measure
-from defock.errors import ValidationError
+from defock.errors import QuadratureError, ValidationError
 from defock.measure import MeasureParams, calibrate, moment_check, moment_table, omega
 
 
@@ -100,3 +100,41 @@ def test_domain_errors():
         MeasureParams(tau=0.5, mu=1.0, beta=2.0, norm=1.0)
     with pytest.raises(ValidationError):
         MeasureParams(tau=0.5, mu=1.0, beta=0.0, norm=0.0)
+
+
+def _no_quadrature(*args, **kwargs):
+    raise AssertionError("quadrature ran")
+
+
+def test_tau_below_the_floor_refused_before_any_quadrature(monkeypatch):
+    monkeypatch.setattr(measure, "_moment_integral", _no_quadrature)
+    for tau in (measure.MIN_TAU * (1.0 - 1e-12), 0.01, 1e-300, 0.0, -1.0, math.nan):
+        with pytest.raises(ValidationError, match="tau must be >= 0.0125"):
+            calibrate(tau)
+
+
+def test_tau_at_the_floor_calibrates():
+    checks = moment_table(calibrate(measure.MIN_TAU), 10)
+    assert max(chk.rel_err for chk in checks) < 1e-12
+
+
+@pytest.mark.parametrize("tau, top", [(0.5, 112), (4.0, 90)])
+def test_moment_past_the_double_range_refused_before_any_quadrature(monkeypatch, tau, top):
+    # rho_n leaves the double range from n = top + 1 on
+    p = calibrate(tau)
+    monkeypatch.setattr(measure, "_moment_integral", _no_quadrature)
+    for n_top in (top + 1, 170, 171, 10**12):
+        with pytest.raises(ValidationError, match=f"rho_{n_top} at tau={tau!r} exceeds"):
+            moment_table(p, n_top)
+    with pytest.raises(AssertionError, match="quadrature ran"):
+        moment_table(p, top)
+
+
+def test_overflow_in_the_quadrature_is_a_quadrature_error():
+    # the uncalibrated integrand at tau 0.01 peaks near e^868
+    raw = MeasureParams(tau=0.01, mu=1.0 + 2.0 / 0.01, beta=0.0, norm=1.0)
+    with pytest.raises(QuadratureError, match="left the double range"):
+        moment_check(0, raw)
+    # a quadrature that sums to inf is not a moment
+    with pytest.raises(QuadratureError, match="value=inf"):
+        moment_check(143, calibrate(0.05))

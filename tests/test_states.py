@@ -59,6 +59,10 @@ def poisson_weights(lam, n):
 def test_fockstate_invariants():
     with pytest.raises(ValidationError):
         FockState(np.array([1.0, 1.0], dtype=complex), 0.0, "bad")
+    # a NaN norm fails the unit-norm check too
+    for amps in ([math.nan, 0.0], [1.0, complex(0.0, math.nan)]):
+        with pytest.raises(ValidationError, match="unit norm"):
+            FockState(np.array(amps, dtype=complex), 0.0, "nan")
     s = glauber(1.0)
     assert abs(np.vdot(s.amps, s.amps).real - 1.0) < 1e-12
     with pytest.raises(ValueError):
