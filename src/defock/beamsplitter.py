@@ -17,7 +17,6 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-import os
 import warnings
 from dataclasses import dataclass
 from types import SimpleNamespace
@@ -307,8 +306,7 @@ def linear_entropy_closed_form(alpha: complex, tau: float, bs: BeamSplitter,
 # grid scans
 # ---------------------------------------------------------------------------
 
-def _scan_point(args):
-    family, alpha, tau, zeta, theta, n_max = args
+def _scan_point(family, alpha, tau, zeta, theta, n_max):
     # phi is left out: it puts the phase (e^{-i phi})^m on column m of M,
     # and a phase on a column cancels in rho_c = M M^H.  Both routes read
     # port c, so every phi gives the same entropies, and at phi = 0 a real
@@ -333,40 +331,24 @@ def _scan_point(args):
 
 def entropy_scan(family: str, alpha_grid, tau_grid=None, *,
                  zeta: float = 0.0, bs: BeamSplitter | None = None,
-                 n_max: int = 64, workers: int = 1) -> ScanTable:
-    """Linear entropy over an (alpha, tau) grid.
+                 n_max: int = 64) -> ScanTable:
+    """Linear entropy over an (alpha, tau) grid, one point after another.
 
     ``family`` is a registry family whose parameters fit the grid, spelled
     with '_' for '-'.  Every grid point is evaluated independently;
     failures are recorded in the ``flag`` column and never abort the scan.
     For the ``nlcs`` family the closed-form value is computed alongside the
-    direct one.  ``workers`` is clamped to the number of CPUs.
+    direct one.
     """
     names = {name.replace("-", "_"): name for name, spec in FAMILIES.items() if spec.scannable}
     if family not in names:
         raise ValidationError(f"unknown scan family {family!r}")
-    if workers < 1:
-        raise ValidationError(f"workers must be >= 1, got {workers}")
-    workers = min(int(workers), os.cpu_count() or 1)
     _check_n_max(n_max)
     alphas = [float(a) for a in np.atleast_1d(alpha_grid)]
     taus = [float(t) for t in np.atleast_1d(tau_grid)] if tau_grid is not None else [0.0]
     if not alphas or not taus:
         raise ValidationError("scan grids must be non-empty")
     bs = bs or BeamSplitter.fifty_fifty()
-    points = [
-        (names[family], a, t, float(zeta), bs.theta, int(n_max))
-        for t in taus
-        for a in alphas
-    ]
-    if workers > 1:
-        # imported here: it loads multiprocessing, which one worker never needs
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_scan_point, points))
-    else:
-        rows = [_scan_point(p) for p in points]
     table = ScanTable(
         columns=["alpha", "tau", "zeta", "S_direct", "S_closed", "flag"],
         provenance={
@@ -377,6 +359,7 @@ def entropy_scan(family: str, alpha_grid, tau_grid=None, *,
             "n_max": str(int(n_max)),
         },
     )
-    for row in rows:
-        table.append(row)
+    for t in taus:
+        for a in alphas:
+            table.append(_scan_point(names[family], a, t, float(zeta), bs.theta, int(n_max)))
     return table

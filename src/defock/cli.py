@@ -39,9 +39,9 @@ EXIT_TOLERANCE = 4
 # so they are checked before anything is allocated
 MAX_GRID_POINTS = 10**6
 
-# a family of one deformation kind contradicts the other kind and the
-# option that sets its parameter
-_CONTRADICTS = {"nc": ("q", "q"), "q": ("nc", "tau")}
+# a family of one deformation kind contradicts the option that sets the
+# other kind's parameter
+_CONTRADICTS = {"nc": "q", "q": "tau"}
 
 
 def finite(text: str) -> float:
@@ -61,7 +61,6 @@ def finite_list(text: str) -> list:
 # Every option once, as its add_argument keywords.
 _OPTIONS = {
     "--family": dict(choices=tuple(states.FAMILIES), required=True),
-    "--deformation": dict(choices=("harmonic", "nc", "q")),
     "--tau": dict(type=finite),
     "--q": dict(type=finite),
     "--alpha-re": dict(type=finite, default=0.0),
@@ -75,7 +74,6 @@ _OPTIONS = {
     "--nmax": dict(type=int, default=states.DEFAULT_N_MAX),
     "--number": dict(choices=("bare", "deformed"), default="bare"),
     "--omega": dict(type=finite, default=0.5),
-    "--hbar": dict(type=finite, default=1.0),
     "--tmax": dict(type=finite, required=True),
     "--points": dict(type=int, required=True),
     "--nbar": dict(type=finite, help="explicit nbar for t_cl"),
@@ -87,7 +85,9 @@ _OPTIONS = {
                    "list that starts with a negative value needs the = form"),
     "--theta": dict(type=finite, default=math.pi / 2.0),
     "--phi": dict(type=finite, default=0.0),
-    "--workers": dict(type=int, default=1),
+    "--workers": dict(type=int, choices=(1,), default=1,
+                      help="the scan runs in one process; 1, the only value, is "
+                      "accepted so that older command lines still parse"),
     "--moments": dict(type=int, default=10),
     "--tol": dict(type=finite, default=1e-6),
     # suppressed default: a subparser would otherwise reset a --config given
@@ -134,12 +134,9 @@ def _family_state(args):
     callables read."""
     family = args.family
     spec = states.FAMILIES[family]
-    if spec.kind in _CONTRADICTS:
-        other, option = _CONTRADICTS[spec.kind]
-        if getattr(args, option) is not None:
-            raise ValidationError(f"--{option} contradicts family {family}")
-        if args.deformation == other:
-            raise ValidationError(f"--deformation {other} contradicts family {family}")
+    option = _CONTRADICTS.get(spec.kind)
+    if option and getattr(args, option) is not None:
+        raise ValidationError(f"--{option} contradicts family {family}")
     for option in spec.requires:
         if getattr(args, option) is None:
             raise ValidationError(f"--{option} is required for {family}")
@@ -217,7 +214,7 @@ def cmd_autocorr(args) -> int:
     a = metrics.gk_autocorrelation(
         args.J, args.gamma, args.tau, args.omega, t, n_max=args.nmax
     )
-    times = metrics.revival_times(args.J, args.tau, args.omega, args.hbar, nbar=args.nbar)
+    times = metrics.revival_times(args.J, args.tau, args.omega, nbar=args.nbar)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     table = fock_io.ScanTable(
@@ -261,7 +258,7 @@ def cmd_entropy_scan(args) -> int:
         raise ValidationError(f"--taus is required for family {args.family}")
     bs = bsm.BeamSplitter(theta=args.theta, phi=args.phi)
     table = bsm.entropy_scan(args.family.replace("-", "_"), alphas, taus, zeta=args.zeta,
-                             bs=bs, n_max=args.nmax, workers=args.workers)
+                             bs=bs, n_max=args.nmax)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if _wants(args, "csv"):
@@ -308,8 +305,8 @@ def cmd_measure_check(args) -> int:
     return EXIT_OK
 
 
-_STATE_OPTIONS = ("--family", "--deformation", "--tau", "--q", "--alpha-re", "--alpha-im",
-                  "--zeta", "--J", "--gamma", "--m", "--parity", "--basis", "--nmax")
+_STATE_OPTIONS = ("--family", "--tau", "--q", "--alpha-re", "--alpha-im", "--zeta", "--J",
+                  "--gamma", "--m", "--parity", "--basis", "--nmax")
 
 # Every subcommand once: its handler, its help and the options it reads
 # besides --config, --out and --format.  A (flag, keywords) pair replaces
@@ -318,8 +315,8 @@ _COMMANDS = {
     "state": (cmd_state, "construct a state, dump JSON + CSV", _STATE_OPTIONS),
     "metrics": (cmd_metrics, "nonclassicality report", (*_STATE_OPTIONS, "--number")),
     "autocorr": (cmd_autocorr, "Gazeau-Klauder autocorrelation trace",
-                 ("--J", "--tau", "--gamma", "--omega", "--hbar", "--nmax", "--tmax",
-                  "--points", "--nbar")),
+                 ("--J", "--tau", "--gamma", "--omega", "--nmax", "--tmax", "--points",
+                  "--nbar")),
     "entropy-scan": (cmd_entropy_scan, "beam-splitter entropy scan", (
         ("--family", dict(choices=[name for name, spec in states.FAMILIES.items()
                                    if spec.scannable])),

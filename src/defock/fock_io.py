@@ -142,8 +142,9 @@ def _widen(lo: float, hi: float):
 
 
 def _ticks(lo: float, hi: float, count: int = 5):
-    step = (hi - lo) / (count - 1)
-    return [lo + i * step for i in range(count)]
+    # lo + i (hi - lo) / (count - 1), on half-spans like write_svg_lineplot's
+    step = (hi / 2 - lo / 2) / (count - 1)
+    return [2.0 * (lo / 2 + i * step) for i in range(count)]
 
 
 def write_svg_lineplot(table: ScanTable, x_col: str, y_cols, path,
@@ -180,14 +181,18 @@ def write_svg_lineplot(table: ScanTable, x_col: str, y_cols, path,
         x_lo, x_hi = _widen(x_lo, x_hi)
     if y_hi - y_lo <= _FLAT_SPAN * max(abs(y_lo), abs(y_hi)):
         y_lo, y_hi = _widen(y_lo, y_hi)
-    pad = 0.04 * (y_hi - y_lo)
-    y_lo, y_hi = y_lo - pad, y_hi + pad
+    # Spans are taken on halves, so that hi - lo may exceed the double range.
+    # Halving is exact for normal doubles, so every other plot keeps its bytes
+    # (0.08 is 2 * 0.04 in binary too).
+    pad = 0.08 * (y_hi / 2 - y_lo / 2)
+    y_lo, y_hi = max(y_lo - pad, -sys.float_info.max), min(y_hi + pad, sys.float_info.max)
+    x_half, y_half = x_hi / 2 - x_lo / 2, y_hi / 2 - y_lo / 2
 
     def sx(x):
-        return ml + (x - x_lo) / (x_hi - x_lo) * inner_w
+        return ml + (x / 2 - x_lo / 2) / x_half * inner_w
 
     def sy(y):
-        return mt + (1.0 - (y - y_lo) / (y_hi - y_lo)) * inner_h
+        return mt + (1.0 - (y / 2 - y_lo / 2) / y_half) * inner_h
 
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',

@@ -304,7 +304,8 @@ def gk_autocorrelation(J: float, gamma: float, tau: float, omega: float,
     is at most eps^2 of the total: the dropped levels move A by at most
     twice that, far below one ulp of A.  The grid is evaluated in chunks
     of ``_AUTOCORR_CHUNK`` points, so the working set stays bounded for
-    any grid size.
+    any grid size.  A grid on which some phase omega t e_n leaves the
+    double range is refused.
     """
     t = np.asarray(t_grid, dtype=float).ravel()
     if t.size and not np.all(np.isfinite(t)):
@@ -315,6 +316,12 @@ def gk_autocorrelation(J: float, gamma: float, tau: float, omega: float,
     levels = int(np.count_nonzero(trailing > np.finfo(float).eps ** 2 * trailing[0]))
     p = p[:levels]
     e = dimensionless_e(Deformation.perturbative_nc(tau), np.arange(levels))
+    # the loop's largest |omega t e_n|, as rounding is monotone, in Python
+    # floats, which overflow to inf without a warning; exp(-i inf) is NaN
+    top = float(np.max(np.abs(t), initial=0.0)) * float(np.max(np.abs(e)))
+    if not math.isfinite(abs(omega) * top):
+        raise ValidationError("the phases omega t e_n exceed the double range; "
+                              "shorten the time grid")
     z = np.empty(t.shape, dtype=complex)
     for lo in range(0, t.size, _AUTOCORR_CHUNK):
         hi = lo + _AUTOCORR_CHUNK
@@ -343,18 +350,19 @@ class RevivalTimes:
     t_rev: float
 
 
-def revival_times(J: float, tau: float, omega: float, hbar: float = 1.0, *,
+def revival_times(J: float, tau: float, omega: float, *,
                   nbar: float | None = None, n_max: int = 64) -> RevivalTimes:
     """Classical period and revival time of the quadratic spectrum.
 
-    With E_n = hbar omega (A n + B n^2): t_cl = 2 pi / (omega (A + 2 B nbar))
-    and t_rev = 2 pi / (omega B), independent of nbar.  ``nbar=None`` takes
+    With E_n = hbar omega (A n + B n^2), hbar cancels from the phases
+    E_n t / hbar: t_cl = 2 pi / (omega (A + 2 B nbar)) and
+    t_rev = 2 pi / (omega B), independent of nbar.  ``nbar=None`` takes
     nbar as the mean level of the bare Gazeau-Klauder state of J.  At
     tau = 0, and wherever 2 pi / (omega B) overflows, the revival time is
     returned as ``math.inf``.
     """
-    if omega <= 0 or hbar <= 0:
-        raise ValidationError("omega and hbar must be positive")
+    if omega <= 0:
+        raise ValidationError("omega must be positive")
     sc = SpectrumCoeffs.from_tau(tau)
     if nbar is not None:
         nb = float(nbar)

@@ -1,4 +1,3 @@
-import concurrent.futures
 import math
 import warnings
 from types import SimpleNamespace
@@ -646,45 +645,3 @@ def test_n_max_at_bound_still_runs():
     row = dict(zip(table.columns, table.rows[0]))
     assert row["flag"] == ""
     assert row["S_direct"] == pytest.approx(row["S_closed"], abs=1e-9)
-
-
-class RecordingPool:
-    """Stands in for ProcessPoolExecutor: records max_workers, maps inline."""
-
-    def __init__(self, seen, max_workers):
-        seen.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items):
-        return map(fn, items)
-
-
-def test_scan_workers_clamped_to_cpu_count(monkeypatch):
-    seen = []
-    # entropy_scan imports the pool class from concurrent.futures when it
-    # needs one
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                        lambda max_workers: RecordingPool(seen, max_workers))
-    monkeypatch.setattr(beamsplitter.os, "cpu_count", lambda: 2)
-    table = entropy_scan("glauber", [0.5, 1.0, 1.5], None, n_max=16, workers=10**6)
-    assert seen == [2]
-    assert len(table.rows) == 3
-    monkeypatch.setattr(beamsplitter.os, "cpu_count", lambda: None)
-    entropy_scan("glauber", [0.5], None, n_max=16, workers=8)
-    assert seen == [2]  # one usable CPU: no pool at all
-    for bad in (0, -3):
-        with pytest.raises(ValidationError):
-            entropy_scan("glauber", [0.5], None, n_max=16, workers=bad)
-
-
-def test_scan_workers_deterministic():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        seq = entropy_scan("nlcs", [0.5, 1.0], [0.1], n_max=24, workers=1)
-        par = entropy_scan("nlcs", [0.5, 1.0], [0.1], n_max=24, workers=2)
-    assert seq.rows == par.rows

@@ -453,8 +453,8 @@ def test_import_and_light_jobs_load_no_scipy_or_mpmath(tmp_path):
 
 
 # The family contract of `state` and `metrics`: which options each family
-# requires, and which options and deformations contradict it.  Restated
-# here, independently of the program, so a change to the dispatch shows.
+# requires, and which options contradict it.  Restated here, independently
+# of the program, so a change to the dispatch shows.
 _FAMILY_KIND = {
     "glauber": "harmonic", "nlcs": "nc", "q-coherent": "q", "gk": "nc",
     "nc-squeezed": "nc", "ho-squeezed": "harmonic", "cat": "q", "pacs": "q",
@@ -467,16 +467,12 @@ _OPTION_VALUES = {"tau": "0.1", "q": "0.9", "J": "1.5", "parity": "even"}
 _OPTION_SETS = ((), ("tau",), ("q",), ("tau", "q"), ("tau", "J"), ("q", "parity"))
 
 
-def _contract_error(family, deformation, given):
+def _contract_error(family, given):
     kind = _FAMILY_KIND[family]
     if kind == "nc" and "q" in given:
         return f"--q contradicts family {family}"
     if kind == "q" and "tau" in given:
         return f"--tau contradicts family {family}"
-    if deformation == "nc" and kind == "q":
-        return f"--deformation nc contradicts family {family}"
-    if deformation == "q" and kind == "nc":
-        return f"--deformation q contradicts family {family}"
     for name in _FAMILY_REQUIRES.get(family, ()):
         if name not in given:
             return f"--{name} is required for {family}"
@@ -486,20 +482,17 @@ def _contract_error(family, deformation, given):
 @pytest.mark.parametrize("command", ["state", "metrics"])
 @pytest.mark.parametrize("family", list(_FAMILY_KIND))
 def test_family_contract_matrix(tmp_path, capsys, command, family):
-    for deformation in (None, "harmonic", "nc", "q"):
-        for given in _OPTION_SETS:
-            argv = [command, "--family", family, "--alpha-re", "0.8", "--format", "json",
-                    "--out", str(tmp_path)]
-            if deformation:
-                argv += ["--deformation", deformation]
-            for name in given:
-                argv += [f"--{name}", _OPTION_VALUES[name]]
-            code = run(argv)
-            err = capsys.readouterr().err
-            first = err.splitlines()[0] if err else ""
-            message = _contract_error(family, deformation, given)
-            want = (2, f"validation error: {message}") if message else (0, "")
-            assert (code, first) == want, argv
+    for given in _OPTION_SETS:
+        argv = [command, "--family", family, "--alpha-re", "0.8", "--format", "json",
+                "--out", str(tmp_path)]
+        for name in given:
+            argv += [f"--{name}", _OPTION_VALUES[name]]
+        code = run(argv)
+        err = capsys.readouterr().err
+        first = err.splitlines()[0] if err else ""
+        message = _contract_error(family, given)
+        want = (2, f"validation error: {message}") if message else (0, "")
+        assert (code, first) == want, argv
 
 
 def test_entropy_scan_family_contract(tmp_path, capsys):
@@ -561,13 +554,13 @@ def test_tracer_counts_one_build_per_state_job_and_scan_point(tmp_path):
 # The options each subcommand reads, restated here, independently of the
 # program, so a change to the commands table shows.  Every subcommand also
 # reads --config, --out and --format.
-_STATE_READS = {"--family", "--deformation", "--tau", "--q", "--alpha-re", "--alpha-im",
-                "--zeta", "--J", "--gamma", "--m", "--parity", "--basis", "--nmax"}
+_STATE_READS = {"--family", "--tau", "--q", "--alpha-re", "--alpha-im", "--zeta", "--J",
+                "--gamma", "--m", "--parity", "--basis", "--nmax"}
 _READS = {
     "state": _STATE_READS,
     "metrics": _STATE_READS | {"--number"},
-    "autocorr": {"--J", "--tau", "--gamma", "--omega", "--hbar", "--nmax", "--tmax",
-                 "--points", "--nbar"},
+    "autocorr": {"--J", "--tau", "--gamma", "--omega", "--nmax", "--tmax", "--points",
+                 "--nbar"},
     "entropy-scan": {"--family", "--alphas", "--alpha-max", "--alpha-steps", "--taus",
                      "--zeta", "--theta", "--phi", "--nmax", "--workers"},
     "measure-check": {"--tau", "--moments", "--tol"},
@@ -590,6 +583,11 @@ def test_each_subcommand_reads_its_own_options():
     ["autocorr", "--J", "1.5", "--tau", "0.1", "--tmax", "10", "--points", "11",
      "--alpha-re", "1"],
     ["metrics", "--family", "glauber", "--alpha-re", "1", "--tol", "1e-3"],
+    # options that changed no output, now read by no subcommand
+    ["state", "--family", "glauber", "--deformation", "q"],
+    ["metrics", "--family", "nlcs", "--tau", "0.1", "--deformation", "nc"],
+    ["autocorr", "--J", "1.5", "--tau", "0.1", "--tmax", "10", "--points", "11",
+     "--hbar", "1000"],
 ])
 def test_an_option_the_subcommand_does_not_read_exits_2(tmp_path, capsys, argv):
     assert run(argv + ["--out", str(tmp_path)]) == 2
@@ -619,7 +617,7 @@ def test_non_finite_and_malformed_reals_exit_2(tmp_path, capsys, argv, option):
     ({"alpha-re": [1]}, "argument --alpha-re: invalid finite value: '[1]'"),
     ({"alpha-re": "nan"}, "argument --alpha-re: invalid finite value: 'nan'"),
     ({"format": "png"}, "config value 'png' is not a choice of --format"),
-    ({"deformation": 1}, "config value '1' is not a choice of --deformation"),
+    ({"basis": 1}, "config value '1' is not a choice of --basis"),
 ])
 def test_config_values_pass_the_option_types_and_choices(tmp_path, capsys, config, message):
     cfg = tmp_path / "cfg.json"
@@ -634,13 +632,40 @@ def test_config_values_pass_the_option_types_and_choices(tmp_path, capsys, confi
 def test_config_keys_a_subcommand_does_not_read_are_ignored(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"alpha-re": 1.0, "nmax": 16, "moments": 2, "points": 11,
-                               "workers": "many", "tol": None}))
+                               "workers": "many", "tol": None, "deformation": 1,
+                               "hbar": None}))
     assert run(["state", "--family", "glauber", "--config", str(cfg),
                 "--out", str(tmp_path)]) == 0
     assert capsys.readouterr().out.startswith("family=glauber n_max=16 ")
+    assert run(["metrics", "--family", "glauber", "--nmax", "64", "--config", str(cfg),
+                "--out", str(tmp_path)]) == 0
+    assert run(["autocorr", "--J", "1.5", "--tau", "0.1", "--tmax", "10", "--points", "11",
+                "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().err == ""
     assert run(["measure-check", "--tau", "1", "--config", str(cfg),
                 "--out", str(tmp_path)]) == 2
     assert "argument --tol: invalid finite value: 'null'" in capsys.readouterr().err
+
+
+def test_entropy_scan_workers_takes_only_1(tmp_path, capsys):
+    # the scan runs in one process; --workers 1 still parses
+    base = ["entropy-scan", "--family", "glauber", "--alphas", "0.5,1", "--format", "csv"]
+    assert run(base + ["--out", str(tmp_path / "default")]) == 0
+    assert run(base + ["--workers", "1", "--out", str(tmp_path / "one")]) == 0
+    assert ((tmp_path / "one" / "entropy_scan.csv").read_bytes()
+            == (tmp_path / "default" / "entropy_scan.csv").read_bytes())
+    capsys.readouterr()
+    for value in ("2", "0", "-1"):
+        assert run(base + ["--workers", value, "--out", str(tmp_path / value)]) == 2
+        assert f"argument --workers: invalid choice: {value}" in capsys.readouterr().err
+        assert not (tmp_path / value).exists()
+    for value, code in ((2, 2), (1, 0)):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"workers": value}))
+        out = tmp_path / f"cfg{value}"
+        assert run(base + ["--config", str(cfg), "--out", str(out)]) == code
+        assert out.exists() == (code == 0)
+    assert "config value 2 is not a choice of --workers" in capsys.readouterr().err
 
 
 def test_typed_config_values_match_the_flags(tmp_path, capsys):
@@ -661,12 +686,16 @@ def test_typed_config_values_match_the_flags(tmp_path, capsys):
      "rho_150 at tau=0.5 exceeds the double range"),
     (["state", "--family", "nlcs", "--tau", "1e308", "--alpha-re", "1"],
      "FockState must be unit norm (got |psi|^2 = nan)"),
+    # omega t e_n overflowed, and autocorr.csv held nan from t = 2.5e307 on
+    (["autocorr", "--J", "1", "--tau", "0.1", "--tmax", "1e308", "--points", "5"],
+     "the phases omega t e_n exceed the double range; shorten the time grid"),
 ])
 def test_inputs_outside_the_numeric_domain_exit_2(tmp_path, capsys, argv, message):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         assert run(argv + ["--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err.splitlines()[-1] == f"validation error: {message}"
+    assert not any(tmp_path.iterdir())
 
 
 def test_entropy_scan_flags_rows_whose_state_is_nan(tmp_path, capsys):
@@ -682,6 +711,15 @@ def test_entropy_scan_of_one_huge_alpha_writes_its_plot(tmp_path):
     assert run(["entropy-scan", "--family", "glauber", "--alphas", "1e308",
                 "--out", str(tmp_path)]) == 0
     assert "<svg" in (tmp_path / "entropy_scan.svg").read_text()
+
+
+def test_entropy_scan_over_the_whole_double_range_writes_no_nan(tmp_path, capsys):
+    # x_hi - x_lo overflowed, and the plot held nan in 10 places
+    assert run(["entropy-scan", "--family", "glauber", "--alphas=-1e308,0.5,1e308",
+                "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out == "rows=3 flagged=2\n"
+    svg = (tmp_path / "entropy_scan.svg").read_text()
+    assert "<polyline" in svg and "nan" not in svg and "inf" not in svg
 
 
 def _readme_commands():
@@ -701,8 +739,7 @@ def test_readme_commands_run(tmp_path):
 
 # Bad and edge values for every option: reals, integers and comma grids.
 # The sizes that set an example's cost are capped: --points at 50,
-# --alpha-steps at 5, --moments at 3, and --workers at 1, so no example
-# starts a process pool.
+# --alpha-steps at 5 and --moments at 3.
 _REALS = ("nan", "inf", "-inf", "1e308", "-1e308", "1.7976931348623157e308", "1e-300", "0",
           "-1", "x1", "0.5")
 _INTS = ("-1", "0", "1", "513", "1.5", "x1", "3")
@@ -715,11 +752,11 @@ def _sized(top):
 
 _POOLS = {
     "--family": tuple(defock.states.FAMILIES) + ("bogus",),
-    "--deformation": ("harmonic", "nc", "q"), "--parity": ("even", "odd"),
+    "--parity": ("even", "odd"),
     "--basis": ("bare", "perturbed"), "--number": ("bare", "deformed"),
     "--format": ("csv", "json", "svg", "all"),
     "--m": _INTS, "--nmax": _INTS, "--points": _sized(50), "--alpha-steps": _sized(5),
-    "--moments": _sized(3), "--workers": _sized(1),
+    "--moments": _sized(3), "--workers": _INTS,
     "--alphas": _GRIDS, "--taus": _GRIDS,
 }
 _CONFIGS = ({"nmax": None}, {"alpha-re": [1]}, {"nmax": 16.5}, {"tau": "inf"},

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -338,3 +339,23 @@ def test_svg_constant_axis_past_2_53_keeps_a_range(tmp_path, value):
     assert "<polyline" in svg and "nan" not in svg and "inf" not in svg
     lo, hi = _widen(value, value)
     assert lo < hi and math.isfinite(lo) and math.isfinite(hi)
+
+
+# the last tick of (-1.8e308, 0.5) is 0: 0.5 is far below one ulp of the span
+@pytest.mark.parametrize("lo, hi, last", [
+    (-1e308, 1e308, "1e+308"), (-1.7976931348623157e308, 0.5, "0"),
+    (-1.7976931348623157e308, 1.7976931348623157e308, "1.798e+308"),
+])
+def test_svg_range_wider_than_the_doubles(tmp_path, lo, hi, last):
+    # hi - lo overflowed to inf, which put nan into the ticks and the points
+    table = ScanTable(columns=["x", "y"], rows=[[lo, lo], [0.5, 0.25], [hi, hi]])
+    write_svg_lineplot(table, "x", ["y"], tmp_path / "plot.svg")
+    svg = (tmp_path / "plot.svg").read_text()
+    assert "nan" not in svg and "inf" not in svg
+    ticks = re.findall(r'text-anchor="middle" font-family="sans-serif">([^<]*)<', svg)
+    assert (ticks[0], ticks[4]) == (f"{lo:.4g}", last)
+    points = [float(v) for v in re.search(r'points="([^"]*)"', svg)[1].replace(",", " ").split()]
+    xs, ys = points[0::2], points[1::2]
+    assert xs[0] == 72.0 and xs[-1] == 622.0 and xs == sorted(xs)
+    # the pad past +-1.798e308 is clipped, so an extreme point may touch the frame
+    assert all(24.0 <= y <= 368.0 for y in ys)

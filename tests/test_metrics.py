@@ -368,6 +368,34 @@ def test_autocorrelation_validation():
         gk_autocorrelation(1.5, 0.0, 0.1, 0.5, [0.0, math.nan])
 
 
+def _refused(t):
+    try:
+        gk_autocorrelation(1.0, 0.0, 0.1, 0.5, t)
+    except ValidationError:
+        return True
+    return False
+
+
+def test_autocorrelation_refuses_phases_past_the_double_range():
+    # omega t e_n overflowed to inf, and exp made NaN amplitudes of it
+    for grid in ([0.0, 1e308], [-1e308, 0.0], np.linspace(0.0, 1e308, 5)):
+        with pytest.raises(ValidationError, match="double range"):
+            gk_autocorrelation(1.0, 0.0, 0.1, 0.5, grid)
+    # the check is tight: bisect the bits of the largest time that passes
+    def as_float(bits):
+        return float(np.int64(bits).view(np.float64))
+
+    lo, hi = (int(bits) for bits in np.array([1e300, 1e308]).view(np.int64))
+    assert not _refused([as_float(lo)]) and _refused([as_float(hi)])
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if _refused([as_float(mid)]) else (mid, hi)
+    top = as_float(lo)
+    a = gk_autocorrelation(1.0, 0.0, 0.1, 0.5, [0.0, top / 2, top])
+    assert np.all(np.isfinite(a)) and a[0] == pytest.approx(1.0, abs=1e-12)
+    assert _refused([-np.nextafter(top, math.inf)])
+
+
 def test_fractional_revival_structure():
     # small deformation, large J: partial reconstructions at p/q of the
     # revival time with heights ~1/q, full reconstruction at t_rev/2

@@ -283,6 +283,24 @@ def test_mpmath_imported_only_by_the_bessel_overflow_fallback():
     assert found == [("specfun", "bessel_k_log")]
 
 
+def test_no_process_pool_in_the_library():
+    # defock runs in one process: no module may import a pool, even lazily
+    pools = ("concurrent.futures", "multiprocessing")
+    found = []
+    for path in sorted(Path(defock.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                # from concurrent import futures names the package and the module
+                names = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            found.extend((path.stem, name) for name in names
+                         if any(name == pool or name.startswith(pool + ".") for pool in pools))
+    assert found == []
+
+
 # ---------------------------------------------------------------- log gamma
 
 def test_log_gamma_examples():
