@@ -5,8 +5,10 @@ The linear entropy of a transformed minimal-length coherent state comes
 from the direct pipeline (split, partial trace, purity) and from the
 quadruple sum over the dressed coefficients, tr((D^H D)^2) with D = M^T.
 These are not independent: D^H D = conj(M M^H) is the direct route's Gram
-before normalization, so they agree to rounding by construction, and the
-closed form checks the normalization and the boundary warning, not the
+before normalization, so ``entropy_scan`` builds one transform and one
+Gram per point and reads both off it.  S_closed differs from S_direct only
+by the factor (|M|_F^2 / sum |c|^2)^2, 1 to rounding for a lossless
+splitter, and checks the normalization and the boundary warning, not the
 contraction.  The independent references are
 ``linear_entropy_closed_form_naive`` in the tests and
 ``perfbench/oracle.split_linear_entropy``.
@@ -123,8 +125,9 @@ def _hankel(x: np.ndarray, n: int) -> np.ndarray:
     return view
 
 
-# A scan uses two keys, r and |r|.  At MAX_N_MAX a float64 kernel is 2 MB
-# and a complex one (phi != 0 or complex r) 4 MB, so at most 16 MB are held.
+# A scan uses one key per n_max, r at phi = 0; linear_entropy_closed_form
+# uses |r|.  At MAX_N_MAX a float64 kernel is 2 MB and a complex one
+# (phi != 0 or complex r) 4 MB, so at most 16 MB are held.
 @functools.lru_cache(maxsize=4)
 def _splitter_kernel(n: int, t: float, r) -> np.ndarray:
     """Read-only K[q, m] = sqrt(C(q+m, q)) t^q r^m on the n x n grid, real
@@ -179,13 +182,24 @@ def _transform_matrix(c: np.ndarray, t: float, r) -> np.ndarray:
     return out
 
 
+def _unit_transform(c: np.ndarray, t: float, r) -> tuple[np.ndarray, float]:
+    """(M / |M|_F, |M|_F^2) for the transform M of c."""
+    out = _transform_matrix(c, t, r)
+    norm_sq = float(np.sum(np.abs(out) ** 2))
+    out /= math.sqrt(norm_sq)
+    return out, norm_sq
+
+
 def _leading_gram(a: np.ndarray) -> np.ndarray:
     """a a^H for a nonzero a, computed on the leading block of a that holds
     all its nonzero entries and written into a zeroed square array.  Real a
     gives the symmetric rank-k product: ``conj`` of a real array is the
     array itself."""
-    p = int(np.flatnonzero(a.any(axis=1))[-1]) + 1
-    s = int(np.flatnonzero(a.any(axis=0))[-1]) + 1
+    if a[-1].any() and a[:, -1].any():  # full support, found in O(n)
+        p, s = a.shape
+    else:
+        p = int(np.flatnonzero(a.any(axis=1))[-1]) + 1
+        s = int(np.flatnonzero(a.any(axis=0))[-1]) + 1
     out = np.zeros((a.shape[0], a.shape[0]), dtype=a.dtype)
     block = a[:p, :s]
     out[:p, :p] = block @ block.conj().T
@@ -201,9 +215,7 @@ def apply_beamsplitter(state: FockState, bs: BeamSplitter) -> TwoModeState:
     ``_transform_matrix``).  M is real when the amplitudes and r are
     (phi = 0), and complex otherwise.
     """
-    out = _transform_matrix(state.amps, bs.t, bs.r)
-    out /= math.sqrt(float(np.sum(np.abs(out) ** 2)))
-    return TwoModeState(out)
+    return TwoModeState(_unit_transform(state.amps, bs.t, bs.r)[0])
 
 
 def partial_trace(two: TwoModeState, port: str = "c",
@@ -261,6 +273,38 @@ def _boundary_share(d_mat: np.ndarray, e_mat: np.ndarray) -> float:
     return float(2.0 * np.sum((e_mat.conj() * delta).real) - np.sum(np.abs(delta) ** 2))
 
 
+def _closed_form(c: np.ndarray, m: np.ndarray, gram: np.ndarray, purity: float,
+                 m_sq: float) -> float:
+    """1 - tr(E^2) / (sum |c|^2)^2, E = D^H D and D = M^T for the transform
+    M = sqrt(m_sq) m of c, from gram = m m^H and purity = sum |gram|^2.
+
+    Warns, naming the first caller outside this module, when the boundary
+    terms exceed ``_BOUNDARY_WARN`` of the sum.  The share is computed only
+    when an O(1) bound on it can reach half that threshold, so the bound
+    never changes the decision.  Signs and phases on the rows or columns of
+    M (r against |r|) cancel in E and in the share.
+    """
+    norm_sq = float(np.sum(np.abs(c) ** 2))
+    total = purity * m_sq**2
+    # The boundary B is the anti-diagonal of D fed by c[n-1], and the splitter
+    # is lossless, so |B|_F = |c[n-1]| and |D|_F^2 = sum |c|^2.  Then
+    # E - E_in = D^H B + B^H D - B^H B has |.|_F <= delta, and
+    # |share| <= 2 |E|_F delta + delta^2 (see _boundary_share).
+    edge = float(abs(c[-1]))
+    delta = 2.0 * math.sqrt(norm_sq) * edge + edge * edge
+    bound = 2.0 * math.sqrt(total) * delta + delta * delta
+    if total > 0 and bound > 0.5 * _BOUNDARY_WARN * total:
+        # share and purity of m are those of M, both divided by m_sq^2
+        boundary = _boundary_share(m.T, gram.conj())
+        if abs(boundary) > _BOUNDARY_WARN * purity:
+            warnings.warn(
+                f"entropy closed form: boundary terms contribute "
+                f"{abs(boundary) / purity:.2e} of the sum; enlarge n_max",
+                stacklevel=_stacklevel_outside(__file__),
+            )
+    return 1.0 - total / norm_sq**2
+
+
 def linear_entropy_closed_form(alpha: complex, tau: float, bs: BeamSplitter,
                                n_max: int) -> float:
     """Linear entropy of a transformed minimal-length coherent state from
@@ -272,34 +316,14 @@ def linear_entropy_closed_form(alpha: complex, tau: float, bs: BeamSplitter,
     D[m, q] = |t|^q |r|^m C(alpha, m+q) / (sqrt(m! q!) f(m+q)!), in real
     arithmetic when the coefficients are real (real alpha).  D is the
     support-trimmed transform of the direct route, and E = D^dag D runs
-    over the leading block that holds D's nonzero entries.
-    A warning, which names the first caller outside this module, is
-    emitted when the discarded boundary terms exceed ``_BOUNDARY_WARN``
-    of the total.  The share is computed only when an O(1) bound on it
-    can reach half that threshold, so the bound never changes the decision.
+    over the leading block that holds D's nonzero entries.  Warns as
+    ``entropy_scan`` does when the boundary terms are a sizeable share.
     """
     _check_n_max(n_max)
     coeffs = nc_coherent_coeffs(alpha, tau, n_max)
-    norm_sq = float(np.sum(np.abs(coeffs) ** 2))
-    d_mat = _transform_matrix(coeffs, abs(bs.t), abs(bs.r)).T  # D[m, q]
-    e_mat = _leading_gram(d_mat.conj().T)
-    total = float(np.sum(np.abs(e_mat) ** 2).real)
-    # The boundary B is the anti-diagonal of D fed by c[n-1], and the splitter
-    # is lossless, so |B|_F = |c[n-1]| and |D|_F^2 = sum |c|^2.  Then
-    # E - E_in = D^H B + B^H D - B^H B has |.|_F <= delta, and
-    # |share| <= 2 |E|_F delta + delta^2 (see _boundary_share).
-    edge = float(abs(coeffs[-1]))
-    delta = 2.0 * math.sqrt(norm_sq) * edge + edge * edge
-    bound = 2.0 * math.sqrt(total) * delta + delta * delta
-    if total > 0 and bound > 0.5 * _BOUNDARY_WARN * total:
-        boundary = _boundary_share(d_mat, e_mat)
-        if abs(boundary) > _BOUNDARY_WARN * total:
-            warnings.warn(
-                f"entropy closed form: boundary terms contribute "
-                f"{abs(boundary) / total:.2e} of the sum; enlarge n_max",
-                stacklevel=_stacklevel_outside(__file__),
-            )
-    return 1.0 - total / norm_sq**2
+    m = _transform_matrix(coeffs, abs(bs.t), abs(bs.r))
+    gram = _leading_gram(m)
+    return _closed_form(coeffs, m, gram, float(np.sum(np.abs(gram) ** 2)), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -310,17 +334,21 @@ def _scan_point(family, alpha, tau, zeta, theta, n_max):
     # phi is left out: it puts the phase (e^{-i phi})^m on column m of M,
     # and a phase on a column cancels in rho_c = M M^H.  Both routes read
     # port c, so every phi gives the same entropies, and at phi = 0 a real
-    # alpha keeps the whole direct route real.
+    # alpha keeps the whole direct route real.  One transform and one Gram
+    # serve both: S_direct is the purity of apply_beamsplitter's unit M, as
+    # partial_trace and linear_entropy compute it, and S_closed rescales
+    # that purity by (|M|_F^2 / sum |c|^2)^2.
     bs = BeamSplitter(theta=theta)
     s_closed = float("nan")
     p = SimpleNamespace(alpha=alpha, tau=tau, zeta=zeta, basis="perturbed")
     try:
         state = FAMILIES[family].build(p, n_max)
+        m, m_sq = _unit_transform(state.amps, bs.t, bs.r)
+        rho = _leading_gram(m)
+        purity = float(np.sum(np.abs(rho) ** 2))
+        s_direct = 1.0 - purity
         if family == "nlcs":
-            s_closed = linear_entropy_closed_form(alpha, tau, bs, state.n_max)
-        s_direct = linear_entropy(
-            partial_trace(apply_beamsplitter(state, bs), "c", validate=False)
-        )
+            s_closed = _closed_form(state.amps, m, rho, purity, m_sq)
         flag = ""
     except DefockError as exc:
         s_direct = float("nan")

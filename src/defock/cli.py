@@ -58,9 +58,14 @@ def finite_list(text: str) -> list:
     return [finite(v) for v in text.split(",") if v.strip() != ""]
 
 
+# Options a subcommand that reads them cannot run without.  argparse's
+# required=True would refuse them before a --config could supply them, so
+# main checks them after the config is merged.
+_REQUIRED = ("--family", "--tmax", "--points")
+
 # Every option once, as its add_argument keywords.
 _OPTIONS = {
-    "--family": dict(choices=tuple(states.FAMILIES), required=True),
+    "--family": dict(choices=tuple(states.FAMILIES)),
     "--tau": dict(type=finite),
     "--q": dict(type=finite),
     "--alpha-re": dict(type=finite, default=0.0),
@@ -74,8 +79,8 @@ _OPTIONS = {
     "--nmax": dict(type=int, default=states.DEFAULT_N_MAX),
     "--number": dict(choices=("bare", "deformed"), default="bare"),
     "--omega": dict(type=finite, default=0.5),
-    "--tmax": dict(type=finite, required=True),
-    "--points": dict(type=int, required=True),
+    "--tmax": dict(type=finite),
+    "--points": dict(type=int),
     "--nbar": dict(type=finite, help="explicit nbar for t_cl"),
     "--alphas": dict(type=finite_list, help="comma list of alpha values; a list that starts "
                      "with a negative value needs the = form, --alphas=-1,0.5"),
@@ -354,6 +359,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_VALIDATION
     try:
+        for flag in _REQUIRED:
+            if getattr(args, flag[2:], "") is None:
+                raise ValidationError(f"{flag} is required for {args.command}")
         return _COMMANDS[args.command][0](args)
     except (ValidationError, DegenerateStateError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)

@@ -401,15 +401,16 @@ def q_normalization(alpha: complex, q: float) -> float:
 # Gazeau-Klauder states
 # ---------------------------------------------------------------------------
 
-def _gk_series(J: float, gamma: float, tau: float):
-    """``logs`` of the Gazeau-Klauder series J^(n/2) exp(-i gamma e_n) / sqrt(rho_n)."""
+def _gk_series(J: float, gamma: float | None, tau: float):
+    """``logs`` of the Gazeau-Klauder series J^(n/2) exp(-i gamma e_n) / sqrt(rho_n).
+    With ``gamma`` None the phases are None: ``_series_norm`` reads log|c_n| only."""
     if J < 0:
         raise ValidationError("J must be >= 0")
     d = Deformation.perturbative_nc(tau)
 
     def logs(w):
         n = np.arange(w)
-        phase = np.exp(-1j * gamma * dimensionless_e(d, n))
+        phase = None if gamma is None else np.exp(-1j * gamma * dimensionless_e(d, n))
         if J == 0.0:
             return np.where(n == 0, 0.0, -math.inf), phase
         return 0.5 * n * math.log(J) - 0.5 * log_rho_table(d, w), phase
@@ -434,7 +435,7 @@ def gk_coherent(J: float, gamma: float, tau: float,
 
 def gk_normalization(J: float, tau: float) -> float:
     """sqrt(sum J^n / rho_n), summed to convergence."""
-    return _series_norm(_gk_series(J, 0.0, tau), "gk")
+    return _series_norm(_gk_series(J, None, tau), "gk")
 
 
 # ---------------------------------------------------------------------------

@@ -587,6 +587,49 @@ def test_scan_point_at_n_max_64_skips_the_boundary_share(monkeypatch):
             entropy_scan("nlcs", [2.0], [0.1], n_max=6)
 
 
+# ------------------------------------------------ one Gram per scan point
+
+@pytest.mark.parametrize("n_max", [64, 256])
+def test_nlcs_scan_point_takes_one_transform_and_one_gram(monkeypatch, n_max):
+    counts = dict.fromkeys(("_transform_matrix", "_leading_gram", "_boundary_share"), 0)
+    for name in counts:
+        def counted(*args, _real=getattr(beamsplitter, name), _name=name):
+            counts[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(beamsplitter, name, counted)
+    monkeypatch.setattr(beamsplitter, "nc_coherent_coeffs", None)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", PerturbativeRegimeWarning)
+        table = entropy_scan("nlcs", [0.5, 1.5, 2.5], [0.05, 0.3], n_max=n_max)
+    assert all(row[-1] == "" and math.isfinite(row[4]) for row in table.rows)
+    assert counts == {"_transform_matrix": 6, "_leading_gram": 6, "_boundary_share": 0}
+
+
+@pytest.mark.parametrize("alpha, levels", [(0.5, 25), (1.0, 32)])
+def test_scan_point_reads_both_entropies_off_one_gram(alpha, levels):
+    tau = 0.1
+    # past `levels` every coefficient is below 1e-17 of the largest, so the
+    # quadruple loop over that many levels stands for any longer truncation
+    mag = np.abs(nc_coherent_coeffs(alpha, tau, 256))
+    assert mag[levels:].max() < 1e-17 * mag.max()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        naive = linear_entropy_closed_form_naive(alpha, tau, FIFTY, levels)
+        for n_max in (6, 64, 256):
+            row = dict(zip(("S_direct", "S_closed"),
+                           entropy_scan("nlcs", [alpha], [tau], n_max=n_max).rows[0][3:5]))
+            state = nlcs(alpha, tau, n_max)
+            direct = linear_entropy(partial_trace(apply_beamsplitter(state, FIFTY), "c"))
+            assert row["S_direct"] == direct
+            closed = linear_entropy_closed_form(alpha, tau, FIFTY, state.n_max)
+            assert abs(row["S_closed"] - closed) <= 2e-15
+            if state.n_max < levels:  # n_max 6 doubles to 12 levels only
+                naive_here = linear_entropy_closed_form_naive(alpha, tau, FIFTY, state.n_max)
+            else:
+                naive_here = naive
+            assert abs(row["S_closed"] - naive_here) <= 1e-12
+
+
 # -------------------------------------------------------------------- scans
 
 def test_scan_single_point_matches_direct():

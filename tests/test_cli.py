@@ -324,10 +324,13 @@ def test_config_errors(tmp_path, capsys):
     assert run(good + ["--config", str(listed)]) == 2
     assert capsys.readouterr().err == "config must be a JSON object\n"
     # a bad command line is reported before the config is read
-    assert run(["state", "--out", str(tmp_path), "--config", str(missing)]) == 2
+    assert run(good + ["--nmax", "x1", "--config", str(missing)]) == 2
     err = capsys.readouterr().err
-    assert "the following arguments are required: --family" in err
+    assert "argument --nmax: invalid int value: 'x1'" in err
     assert "cannot read config" not in err
+    # a missing --family is not one: the config could supply it
+    assert run(["state", "--out", str(tmp_path), "--config", str(missing)]) == 1
+    assert capsys.readouterr().err == f"cannot read config {missing}\n"
     # so is a missing config path, which ends the command line
     assert run(good + ["--config"]) == 2
     assert "argument --config: expected one argument" in capsys.readouterr().err
@@ -677,6 +680,43 @@ def test_typed_config_values_match_the_flags(tmp_path, capsys):
                 "--nmax", "24", "--format", "csv", "--out", str(tmp_path / "f")]) == 0
     assert ((tmp_path / "c" / "entropy_scan.csv").read_bytes()
             == (tmp_path / "f" / "entropy_scan.csv").read_bytes())
+
+
+# A command that runs, with its required options left out, and a config
+# that supplies them.
+_FROM_CONFIG = [
+    (["entropy-scan", "--alphas", "0.5"], {"family": "nlcs", "taus": "0.1"}),
+    (["state", "--alpha-re", "0.5"], {"family": "glauber"}),
+    (["metrics", "--alpha-re", "0.5"], {"family": "glauber"}),
+    (["autocorr", "--J", "1.5", "--tau", "0.1"], {"tmax": 10, "points": 11}),
+]
+
+
+@pytest.mark.parametrize("argv, config", _FROM_CONFIG)
+def test_required_options_come_from_a_config(tmp_path, argv, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert run(argv + ["--config", str(cfg), "--out", str(tmp_path / "c")]) == 0
+    flags = [text for key, value in config.items() for text in (f"--{key}", str(value))]
+    assert run(argv + flags + ["--out", str(tmp_path / "f")]) == 0
+    for path in (tmp_path / "f").iterdir():
+        assert (tmp_path / "c" / path.name).read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("argv, config", _FROM_CONFIG)
+def test_a_required_option_missing_everywhere_exits_2(tmp_path, capsys, argv, config):
+    command = argv[0]
+    out = tmp_path / "out"
+    for missing in [key for key in config if key != "taus"]:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({k: v for k, v in config.items() if k != missing}))
+        assert run(argv + ["--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"validation error: --{missing} is required for {command}\n")
+    # and with no config at all
+    assert run(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err.endswith(f" is required for {command}\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv, message", [

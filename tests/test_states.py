@@ -238,6 +238,16 @@ def test_normalizations_bit_equal_to_separate_loops():
     assert _outcome(gk_normalization, 1e12, 0.0)[0] is DivergenceError
 
 
+def test_gk_normalization_builds_no_phases(monkeypatch):
+    # the norm reads log|c_n| only, so the phases exp(-i gamma e_n) are not built
+    import defock.states
+
+    monkeypatch.setattr(defock.states, "dimensionless_e", None)
+    assert gk_normalization(1.5, 0.3) == _gk_normalization_loop(1.5, 0.3)
+    with pytest.raises(TypeError):
+        gk_coherent(1.5, 0.3, 0.3)
+
+
 def test_nlcs_coeff_table_matches_dressing_algebra():
     # independent banded-dressing oracle applied to the raw series
     alpha, tau, n = 1.0, 0.1, 24
