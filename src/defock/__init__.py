@@ -39,7 +39,6 @@ from .fock_io import ScanTable, read_csv, write_csv, write_svg_lineplot
 from .measure import MeasureParams, calibrate, moment_check, moment_table, omega
 from .metrics import (
     GKUncertainty,
-    LadderAction,
     NonclassicalityReport,
     QuadratureStats,
     RevivalTimes,

@@ -61,10 +61,6 @@ class BeamSplitter:
     def t(self) -> float:
         return math.cos(self.theta / 2.0)
 
-    @staticmethod
-    def fifty_fifty() -> "BeamSplitter":
-        return BeamSplitter(theta=math.pi / 2.0, phi=0.0)
-
 
 @dataclass(frozen=True, eq=False)
 class TwoModeState:
@@ -84,31 +80,29 @@ class TwoModeState:
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """Hermitian, unit-trace, positive-semidefinite (to tolerance) matrix."""
+    """Square, unit-trace, Hermitian, positive-semidefinite (to tolerance)
+    matrix, checked when it is built; a NaN or inf entry fails the checks."""
 
     rho: np.ndarray
 
     def __post_init__(self):
         rho = _as_float_or_complex(self.rho)
+        # each comparison is written so that a NaN fails it
+        if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+            raise ValidationError("density matrix must be square")
+        if not abs(float(np.trace(rho).real) - 1.0) <= 1e-10:
+            raise ValidationError("trace must be 1 within 1e-10")
+        if not float(np.max(np.abs(rho - rho.conj().T))) <= 1e-12:
+            raise ValidationError("matrix not Hermitian within 1e-12")
+        eigs = np.linalg.eigvalsh(rho)
+        if not float(eigs.min()) >= -1e-10:
+            raise ValidationError(f"negative eigenvalue {eigs.min():.3e}")
         object.__setattr__(self, "rho", rho)
         rho.flags.writeable = False
 
     @property
     def dim(self) -> int:
         return self.rho.shape[0]
-
-    def validate(self) -> "DensityMatrix":
-        rho = self.rho
-        if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-            raise ValidationError("density matrix must be square")
-        if abs(float(np.trace(rho).real) - 1.0) > 1e-10:
-            raise ValidationError("trace must be 1 within 1e-10")
-        if float(np.max(np.abs(rho - rho.conj().T))) > 1e-12:
-            raise ValidationError("matrix not Hermitian within 1e-12")
-        eigs = np.linalg.eigvalsh(rho)
-        if float(eigs.min()) < -1e-10:
-            raise ValidationError(f"negative eigenvalue {eigs.min():.3e}")
-        return self
 
 
 def _as_float_or_complex(x) -> np.ndarray:
@@ -218,16 +212,15 @@ def apply_beamsplitter(state: FockState, bs: BeamSplitter) -> TwoModeState:
     return TwoModeState(_unit_transform(state.amps, bs.t, bs.r)[0])
 
 
-def partial_trace(two: TwoModeState, port: str = "c",
-                  validate: bool = True) -> DensityMatrix:
+def partial_trace(two: TwoModeState, port: str = "c") -> DensityMatrix:
     """Reduced density matrix of one output port, real when the amplitudes
-    are.  rho_c = M M^H and rho_d = M^T conj(M) run over the leading block
-    of M that holds its nonzero entries (the support that
-    ``apply_beamsplitter`` keeps); the rest of rho is exactly 0."""
+    are, and checked as every ``DensityMatrix`` is.  rho_c = M M^H and
+    rho_d = M^T conj(M) run over the leading block of M that holds its
+    nonzero entries (the support that ``apply_beamsplitter`` keeps); the
+    rest of rho is exactly 0."""
     if port not in ("c", "d"):
         raise ValidationError(f"port must be 'c' or 'd', got {port!r}")
-    out = DensityMatrix(_leading_gram(two.amps if port == "c" else two.amps.T))
-    return out.validate() if validate else out
+    return DensityMatrix(_leading_gram(two.amps if port == "c" else two.amps.T))
 
 
 def linear_entropy(rho: DensityMatrix) -> float:
@@ -376,7 +369,7 @@ def entropy_scan(family: str, alpha_grid, tau_grid=None, *,
     taus = [float(t) for t in np.atleast_1d(tau_grid)] if tau_grid is not None else [0.0]
     if not alphas or not taus:
         raise ValidationError("scan grids must be non-empty")
-    bs = bs or BeamSplitter.fifty_fifty()
+    bs = bs or BeamSplitter()
     table = ScanTable(
         columns=["alpha", "tau", "zeta", "S_direct", "S_closed", "flag"],
         provenance={

@@ -58,11 +58,6 @@ def finite_list(text: str) -> list:
     return [finite(v) for v in text.split(",") if v.strip() != ""]
 
 
-# Options a subcommand that reads them cannot run without.  argparse's
-# required=True would refuse them before a --config could supply them, so
-# main checks them after the config is merged.
-_REQUIRED = ("--family", "--tmax", "--points")
-
 # Every option once, as its add_argument keywords.
 _OPTIONS = {
     "--family": dict(choices=tuple(states.FAMILIES)),
@@ -116,7 +111,7 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     # config value goes in as its JSON text
     texts = {key.replace("-", "_"): value if isinstance(value, str) else json.dumps(value)
              for key, value in (defaults or {}).items()}
-    for name, (_, help_text, options) in _COMMANDS.items():
+    for name, (_, help_text, options, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         for option in (*options, "--config", "--out", "--format"):
             flag, own = (option, {}) if isinstance(option, str) else option
@@ -207,10 +202,6 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_autocorr(args) -> int:
-    if args.J is None:
-        raise ValidationError("--J is required for autocorr")
-    if args.tau is None:
-        raise ValidationError("--tau is required for autocorr")
     if args.points < 2 or args.tmax <= 0:
         raise ValidationError("need --points >= 2 and --tmax > 0")
     if args.points > MAX_GRID_POINTS:
@@ -279,8 +270,6 @@ def cmd_entropy_scan(args) -> int:
 
 
 def cmd_measure_check(args) -> int:
-    if args.tau is None:
-        raise ValidationError("measure-check needs --tau")
     if args.moments < 0:
         raise ValidationError("--moments must be >= 0")
     params = measure.calibrate(args.tau)
@@ -313,22 +302,26 @@ def cmd_measure_check(args) -> int:
 _STATE_OPTIONS = ("--family", "--tau", "--q", "--alpha-re", "--alpha-im", "--zeta", "--J",
                   "--gamma", "--m", "--parity", "--basis", "--nmax")
 
-# Every subcommand once: its handler, its help and the options it reads
-# besides --config, --out and --format.  A (flag, keywords) pair replaces
-# some of that option's keywords for this subcommand.
+# Every subcommand once: its handler, its help, the options it reads
+# besides --config, --out and --format, and those of them it cannot run
+# without.  A (flag, keywords) pair replaces some of that option's keywords
+# for this subcommand.  argparse's required=True would refuse an option
+# before a --config could supply it, so main checks the required ones after
+# the config is merged.
 _COMMANDS = {
-    "state": (cmd_state, "construct a state, dump JSON + CSV", _STATE_OPTIONS),
-    "metrics": (cmd_metrics, "nonclassicality report", (*_STATE_OPTIONS, "--number")),
+    "state": (cmd_state, "construct a state, dump JSON + CSV", _STATE_OPTIONS, ("--family",)),
+    "metrics": (cmd_metrics, "nonclassicality report", (*_STATE_OPTIONS, "--number"),
+                ("--family",)),
     "autocorr": (cmd_autocorr, "Gazeau-Klauder autocorrelation trace",
                  ("--J", "--tau", "--gamma", "--omega", "--nmax", "--tmax", "--points",
-                  "--nbar")),
+                  "--nbar"), ("--J", "--tau", "--tmax", "--points")),
     "entropy-scan": (cmd_entropy_scan, "beam-splitter entropy scan", (
         ("--family", dict(choices=[name for name, spec in states.FAMILIES.items()
                                    if spec.scannable])),
         "--alphas", "--alpha-max", "--alpha-steps", "--taus", "--zeta", "--theta", "--phi",
-        "--nmax", "--workers")),
+        "--nmax", "--workers"), ("--family",)),
     "measure-check": (cmd_measure_check, "measure moment verification",
-                      ("--tau", "--moments", "--tol")),
+                      ("--tau", "--moments", "--tol"), ("--tau",)),
 }
 
 
@@ -359,10 +352,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_VALIDATION
     try:
-        for flag in _REQUIRED:
-            if getattr(args, flag[2:], "") is None:
+        handler, _, _, required = _COMMANDS[args.command]
+        for flag in required:
+            if getattr(args, flag[2:]) is None:
                 raise ValidationError(f"{flag} is required for {args.command}")
-        return _COMMANDS[args.command][0](args)
+        return handler(args)
     except (ValidationError, DegenerateStateError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -14,6 +14,11 @@ Two quadrature pairs are offered:
   carries the 1 + tau_check p^2 deformation and whose variances show the
   characteristic asymmetric split.
 
+Each diagnostic takes ``(state, d, ...)`` and only the settings it reads:
+a ``direction`` ("lower" or "raise") or a ``number_convention`` ("bare"
+n = a^dag a, or "deformed" N = A^dag A, whose eigenvalues are
+e_n = n f^2(n)).  An unknown value raises ``ValidationError``.
+
 Everything acts on amplitude vectors through ladder shifts; no dense
 operator matrices are formed.
 """
@@ -31,7 +36,6 @@ from .errors import DegenerateStateError, TruncationError, ValidationError
 from .states import FockState, gk_coherent
 
 __all__ = [
-    "LadderAction",
     "QuadratureStats",
     "XPUncertainty",
     "RevivalTimes",
@@ -57,28 +61,6 @@ _DEGENERATE_TOL = 1e-14
 _AUTOCORR_CHUNK = 4096
 
 
-@dataclass(frozen=True)
-class LadderAction:
-    """A deformed ladder step plus the number-operator convention.
-
-    ``number_convention="bare"`` counts quanta with n = a^dag a;
-    ``"deformed"`` uses N = A^dag A, which is diagonal with eigenvalues
-    e_n = n f^2(n).
-    """
-
-    deformation: Deformation
-    direction: str = "lower"
-    number_convention: str = "bare"
-
-    def __post_init__(self):
-        if self.direction not in ("lower", "raise"):
-            raise ValidationError(f"direction must be lower/raise, got {self.direction!r}")
-        if self.number_convention not in ("bare", "deformed"):
-            raise ValidationError(
-                f"number_convention must be bare/deformed, got {self.number_convention!r}"
-            )
-
-
 def ladder_weights(d: Deformation, n_max: int) -> np.ndarray:
     """sqrt(n f^2(n)) for n = 0 .. n_max-1; the matrix elements of A."""
     return np.sqrt(dimensionless_e(d, np.arange(n_max)))
@@ -96,21 +78,28 @@ def _raise(amps: np.ndarray, w: np.ndarray) -> np.ndarray:
     return out
 
 
-def apply_ladder(state: FockState, action: LadderAction) -> np.ndarray:
-    """Apply A (lower) or A^dag (raise) to the amplitude vector.
+def _check_headroom(amps: np.ndarray, message: str) -> None:
+    """Refuse |c[n_max-1]| above ``_BOUNDARY_TOL``, which ``message`` may name
+    as ``{edge}``: raising would push its weight past the truncation."""
+    edge = abs(amps[-1])
+    if edge > _BOUNDARY_TOL:
+        raise TruncationError(message.format(edge=edge))
+
+
+def apply_ladder(state: FockState, d: Deformation, direction: str = "lower") -> np.ndarray:
+    """Apply A (direction "lower") or A^dag ("raise") to the amplitude vector.
 
     Returns the unnormalized image.  Raising demands headroom: the
     boundary amplitude must be negligible or the shifted component would
     silently fall off the truncation.
     """
-    w = ladder_weights(action.deformation, state.n_max)
-    if action.direction == "lower":
+    if direction not in ("lower", "raise"):
+        raise ValidationError(f"direction must be lower/raise, got {direction!r}")
+    w = ladder_weights(d, state.n_max)
+    if direction == "lower":
         return _lower(state.amps, w)
-    if abs(state.amps[-1]) > _BOUNDARY_TOL:
-        raise TruncationError(
-            "raise would push amplitude past the truncation boundary "
-            f"(|c[n_max-1]| = {abs(state.amps[-1]):.3e})"
-        )
+    _check_headroom(state.amps, "raise would push amplitude past the truncation boundary "
+                                "(|c[n_max-1]| = {edge:.3e})")
     return _raise(state.amps, w)
 
 
@@ -129,8 +118,7 @@ def quadrature_stats(state: FockState, d: Deformation) -> QuadratureStats:
     the undeformed kernel gives (1/4, 1/4, 1/4).
     """
     amps = state.amps
-    if abs(amps[-1]) > _BOUNDARY_TOL:
-        raise TruncationError("boundary amplitude non-negligible; enlarge n_max")
+    _check_headroom(amps, "boundary amplitude non-negligible; enlarge n_max")
     w = ladder_weights(d, state.n_max)
     low = _lower(amps, w)
     hi = _raise(amps, w)
@@ -208,33 +196,33 @@ def xp_uncertainty(state: FockState, tau: float, *, m: float = 1.0,
     return XPUncertainty(var_x=var_x, var_p=var_p, rhs=rhs)
 
 
-def _level_values(state: FockState, action: LadderAction) -> np.ndarray:
-    if action.number_convention == "bare":
-        return np.arange(state.n_max, dtype=float)
-    return dimensionless_e(action.deformation, np.arange(state.n_max))
-
-
-def mandel_q(state: FockState, action: LadderAction) -> float:
-    """Mandel parameter <(Delta N)^2>/<N> - 1 in the chosen convention."""
+def _number_stats(state: FockState, d: Deformation, number_convention: str,
+                  quantity: str) -> tuple[float, float]:
+    """(Mandel Q, g2(0)) from P_n = |c_n|^2 and the level values of the
+    convention; a state with <N> = 0 raises, naming ``quantity``."""
+    if number_convention not in ("bare", "deformed"):
+        raise ValidationError(
+            f"number_convention must be bare/deformed, got {number_convention!r}")
     p = np.abs(state.amps) ** 2
-    e = _level_values(state, action)
+    levels = np.arange(state.n_max)
+    e = levels.astype(float) if number_convention == "bare" else dimensionless_e(d, levels)
     mean = float(np.sum(p * e))
     if mean <= _DEGENERATE_TOL:
-        raise DegenerateStateError("Mandel parameter undefined: <N> = 0")
+        raise DegenerateStateError(f"{quantity} undefined: <N> = 0")
     var = float(np.sum(p * e * e)) - mean**2
-    return var / mean - 1.0
-
-
-def g2_zero(state: FockState, action: LadderAction) -> float:
-    """Zero-delay second-order correlation <A^dag^2 A^2> / <A^dag A>^2."""
-    p = np.abs(state.amps) ** 2
-    e = _level_values(state, action)
-    mean = float(np.sum(p * e))
-    if mean <= _DEGENERATE_TOL:
-        raise DegenerateStateError("g2(0) undefined: <N> = 0")
     e_shift = np.concatenate([[0.0], e[:-1]])
     num = float(np.sum(p * e * e_shift))
-    return num / mean**2
+    return var / mean - 1.0, num / mean**2
+
+
+def mandel_q(state: FockState, d: Deformation, number_convention: str = "bare") -> float:
+    """Mandel parameter <(Delta N)^2>/<N> - 1 in the chosen convention."""
+    return _number_stats(state, d, number_convention, "Mandel parameter")[0]
+
+
+def g2_zero(state: FockState, d: Deformation, number_convention: str = "bare") -> float:
+    """Zero-delay second-order correlation <A^dag^2 A^2> / <A^dag A>^2."""
+    return _number_stats(state, d, number_convention, "g2(0)")[1]
 
 
 def photon_distribution(state: FockState) -> np.ndarray:
@@ -244,7 +232,8 @@ def photon_distribution(state: FockState) -> np.ndarray:
 
 @dataclass
 class NonclassicalityReport:
-    """Bundle of single-state diagnostics."""
+    """Bundle of single-state diagnostics; nonnegative variances and bound
+    that obey the uncertainty relation, checked when it is built."""
 
     var_y: float
     var_z: float
@@ -254,12 +243,12 @@ class NonclassicalityReport:
     mean_n: float
     photon_dist: np.ndarray
 
-    def validate(self):
-        if self.var_y < 0 or self.var_z < 0 or self.gur_rhs < 0:
+    def __post_init__(self):
+        # written so that a NaN fails each comparison
+        if not (self.var_y >= 0 and self.var_z >= 0 and self.gur_rhs >= 0):
             raise ValidationError("variances and bound must be nonnegative")
-        if self.var_y * self.var_z < self.gur_rhs**2 - 1e-9:
+        if not self.var_y * self.var_z >= self.gur_rhs**2 - 1e-9:
             raise ValidationError("uncertainty relation violated beyond tolerance")
-        return self
 
     def to_json(self) -> str:
         doc = {
@@ -276,18 +265,17 @@ class NonclassicalityReport:
 
 def nonclassicality_report(state: FockState, d: Deformation, *,
                            number_convention: str = "bare") -> NonclassicalityReport:
-    action = LadderAction(d, "lower", number_convention)
     quad = quadrature_stats(state, d)
-    report = NonclassicalityReport(
+    q, g2 = _number_stats(state, d, number_convention, "Mandel parameter")
+    return NonclassicalityReport(
         var_y=quad.var_y,
         var_z=quad.var_z,
         gur_rhs=quad.gur_rhs,
-        mandel_q=mandel_q(state, action),
-        g2_zero=g2_zero(state, action),
+        mandel_q=q,
+        g2_zero=g2,
         mean_n=state.mean_n(),
         photon_dist=photon_distribution(state),
     )
-    return report.validate()
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,6 @@ from defock.deform import Deformation
 from defock.errors import PerturbativeRegimeWarning
 from defock.measure import calibrate, moment_table
 from defock.metrics import (
-    LadderAction,
     gk_autocorrelation,
     mandel_q,
     quadrature_stats,
@@ -47,7 +46,7 @@ from defock.states import (
 )
 from oracles import squeezed_coeff_closed_form
 
-FIFTY = BeamSplitter.fifty_fifty()
+FIFTY = BeamSplitter()
 
 warnings.simplefilter("ignore", PerturbativeRegimeWarning)
 
@@ -124,8 +123,7 @@ def _mandel_residuals():
     out = {}
     for tau in _MANDEL_TAUS:
         state = nlcs(1.0, tau, basis="bare")
-        action = LadderAction(Deformation.perturbative_nc(tau), "lower", "bare")
-        q = mandel_q(state, action)
+        q = mandel_q(state, Deformation.perturbative_nc(tau), "bare")
         out[tau] = abs(q - (-tau / 2.0))
     return out
 
@@ -170,7 +168,7 @@ def test_c04_q_coherent_saturation_and_mandel():
         assert abs(st.var_y - st.var_z) <= 1e-8
         assert abs(st.var_y - st.gur_rhs) <= 1e-8
         assert abs(st.var_y - target) <= 1e-8
-        mq = mandel_q(state, LadderAction(d, "lower", "deformed"))
+        mq = mandel_q(state, d, "deformed")
         assert abs(mq - (q * q - 1.0)) <= 1e-8
         worst = max(worst, abs(st.var_y - target), abs(mq - (q * q - 1.0)))
     _line(4, True, f"saturation and Mandel exact to {worst:.1e} for q in 0.8/0.9/0.99")

@@ -33,7 +33,7 @@ from defock.states import (
     nlcs,
 )
 
-FIFTY = BeamSplitter.fifty_fifty()
+FIFTY = BeamSplitter()
 
 
 def fock_state(n, n_max=16):
@@ -207,10 +207,27 @@ def test_two_mode_state_must_be_unit_norm():
 
 
 def test_bad_density_matrix_rejected():
-    with pytest.raises(ValidationError):
-        DensityMatrix(np.array([[0.5, 0.4], [0.1, 0.5]], dtype=complex)).validate()
-    with pytest.raises(ValidationError):
-        DensityMatrix(np.diag([0.7, 0.7]).astype(complex)).validate()
+    # refused when built: there is no unchecked DensityMatrix
+    with pytest.raises(ValidationError, match="not Hermitian"):
+        DensityMatrix(np.array([[0.5, 0.4], [0.1, 0.5]], dtype=complex))
+    with pytest.raises(ValidationError, match="trace must be 1"):
+        DensityMatrix(np.diag([0.7, 0.7]).astype(complex))
+    with pytest.raises(ValidationError, match="negative eigenvalue"):
+        DensityMatrix(np.diag([1.2, -0.2]))
+    with pytest.raises(ValidationError, match="square"):
+        DensityMatrix(np.array([0.5, 0.5]))
+
+
+@pytest.mark.parametrize("rho, message", [
+    (np.full((2, 2), math.nan), "trace must be 1"),
+    (np.array([[math.nan, 0.0], [0.0, 1.0]]), "trace must be 1"),
+    (np.array([[0.5, 0.0], [0.0, math.nan]]), "trace must be 1"),
+    (np.array([[0.5, math.nan], [math.nan, 0.5]]), "not Hermitian"),
+])
+def test_density_matrix_with_nan_refused_when_built(rho, message):
+    # each check is written so that a NaN fails it
+    with pytest.raises(ValidationError, match=message):
+        DensityMatrix(rho)
 
 
 def test_splitter_kernel_cached_read_only_and_bounded():
@@ -512,7 +529,7 @@ def test_trimmed_products_match_the_untrimmed_ones(alpha):
     rho_full = full @ full.T
     two = apply_beamsplitter(state, FIFTY)
     assert_zero_past_support(two.amps, k)
-    rho = partial_trace(two, "c", validate=False).rho
+    rho = partial_trace(two, "c").rho
     assert np.max(np.abs(rho - rho_full)) <= 2.0**-290
     assert linear_entropy(partial_trace(two, "c")) == 1.0 - float(np.sum(rho_full**2))
 

@@ -689,6 +689,8 @@ _FROM_CONFIG = [
     (["state", "--alpha-re", "0.5"], {"family": "glauber"}),
     (["metrics", "--alpha-re", "0.5"], {"family": "glauber"}),
     (["autocorr", "--J", "1.5", "--tau", "0.1"], {"tmax": 10, "points": 11}),
+    (["autocorr", "--tmax", "10", "--points", "11"], {"J": 1.5, "tau": 0.1}),
+    (["measure-check", "--moments", "2"], {"tau": 0.5}),
 ]
 
 

@@ -79,13 +79,6 @@ def test_omega_limits():
     assert near0[0] > 0.0
 
 
-def test_truncated_upper_limit_monotone():
-    p = calibrate(0.5)
-    values = [moment_check(2, p, upper=r).computed for r in (2.0, 8.0, 32.0)]
-    full = moment_check(2, p).computed
-    assert values[0] < values[1] < values[2] <= full * (1 + 1e-12)
-
-
 def test_domain_errors():
     p = calibrate(0.5)
     with pytest.raises(ValidationError):

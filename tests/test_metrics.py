@@ -8,7 +8,7 @@ from defock import metrics
 from defock.deform import Deformation, dimensionless_e
 from defock.errors import DegenerateStateError, TruncationError, ValidationError
 from defock.metrics import (
-    LadderAction,
+    NonclassicalityReport,
     apply_ladder,
     detect_peaks,
     g2_zero,
@@ -46,13 +46,13 @@ def fock_state(n, n_max=32):
 
 def test_lower_vacuum_is_zero():
     v = fock_state(0)
-    out = apply_ladder(v, LadderAction(HARMONIC, "lower"))
+    out = apply_ladder(v, HARMONIC)
     assert np.max(np.abs(out)) == 0.0
 
 
 def test_lower_glauber_gives_alpha_times_state():
     g = glauber(0.7 + 0.2j)
-    out = apply_ladder(g, LadderAction(HARMONIC, "lower"))
+    out = apply_ladder(g, HARMONIC)
     resid = out - (0.7 + 0.2j) * g.amps
     resid[-2:] = 0.0
     assert np.linalg.norm(resid) < 1e-12
@@ -60,7 +60,7 @@ def test_lower_glauber_gives_alpha_times_state():
 
 def test_q_lower_on_fock():
     d = Deformation.q_deformed(0.5)
-    out = apply_ladder(fock_state(2), LadderAction(d, "lower"))
+    out = apply_ladder(fock_state(2), d)
     assert out[1] == pytest.approx(math.sqrt(1.25), rel=1e-14)
     assert np.sum(np.abs(out) > 0) == 1
 
@@ -70,7 +70,7 @@ def test_raise_headroom_guard():
     amps[-1] = 1.0
     s = FockState(amps, 0.0, "boundary")
     with pytest.raises(TruncationError):
-        apply_ladder(s, LadderAction(HARMONIC, "raise"))
+        apply_ladder(s, HARMONIC, "raise")
 
 
 def test_ladder_weights_are_sqrt_of_levels():
@@ -88,7 +88,7 @@ def test_eigenstate_property_nlcs_bare():
     alpha, tau = 1.0, 0.1
     d = Deformation.perturbative_nc(tau)
     s = nlcs(alpha, tau, basis="bare")
-    out = apply_ladder(s, LadderAction(d, "lower"))
+    out = apply_ladder(s, d)
     resid = out - alpha * s.amps
     resid[-2:] = 0.0
     assert np.linalg.norm(resid) <= 1e-8
@@ -98,7 +98,7 @@ def test_eigenstate_property_q_coherent():
     alpha, q = 0.8, 0.9
     d = Deformation.q_deformed(q)
     s = q_coherent(alpha, q)
-    out = apply_ladder(s, LadderAction(d, "lower"))
+    out = apply_ladder(s, d)
     resid = out - alpha * s.amps
     resid[-2:] = 0.0
     assert np.linalg.norm(resid) <= 1e-8
@@ -114,8 +114,8 @@ def test_generalized_eigenvalue_property_nc_squeezed():
     d = Deformation.perturbative_nc(tau)
     s = nc_squeezed(alpha, zeta, tau, basis="bare")
     vec = (
-        apply_ladder(s, LadderAction(d, "lower"))
-        + zeta * apply_ladder(s, LadderAction(d, "raise"))
+        apply_ladder(s, d)
+        + zeta * apply_ladder(s, d, "raise")
         - alpha * s.amps
     )
     vec[s.n_max - 5:] = 0.0
@@ -235,7 +235,7 @@ def test_xp_headroom_guard():
 # ------------------------------------------------------------------- Mandel
 
 def test_mandel_glauber_bare_zero():
-    q = mandel_q(glauber(1.0), LadderAction(HARMONIC, "lower", "bare"))
+    q = mandel_q(glauber(1.0), HARMONIC, "bare")
     assert abs(q) < 1e-10
 
 
@@ -246,7 +246,7 @@ def test_mandel_nlcs_first_order():
     resid = {}
     for tau in (0.02, 0.01, 0.005):
         s = nlcs(1.0, tau, basis="bare")
-        q = mandel_q(s, LadderAction(d(tau), "lower", "bare"))
+        q = mandel_q(s, d(tau), "bare")
         resid[tau] = abs(q - (-tau / 2.0))
         # measured second-order coefficient is ~1.93 at |alpha| = 1
         assert resid[tau] <= 2.2 * tau**2
@@ -257,36 +257,47 @@ def test_mandel_nlcs_first_order():
 @pytest.mark.parametrize("q", [0.8, 0.9, 0.99])
 def test_mandel_q_coherent_deformed(q):
     d = Deformation.q_deformed(q)
-    val = mandel_q(q_coherent(1.0, q), LadderAction(d, "lower", "deformed"))
+    val = mandel_q(q_coherent(1.0, q), d, "deformed")
     assert val == pytest.approx(q * q - 1.0, abs=1e-8)
 
 
 def test_mandel_vacuum_degenerate():
     with pytest.raises(DegenerateStateError):
-        mandel_q(fock_state(0), LadderAction(HARMONIC, "lower", "bare"))
+        mandel_q(fock_state(0), HARMONIC, "bare")
 
 
 # ------------------------------------------------------------------- g2(0)
 
 def test_g2_glauber_one():
-    val = g2_zero(glauber(1.3), LadderAction(HARMONIC, "lower", "bare"))
+    val = g2_zero(glauber(1.3), HARMONIC, "bare")
     assert val == pytest.approx(1.0, abs=1e-10)
 
 
 def test_g2_q_coherent_deformed_one():
     d = Deformation.q_deformed(0.9)
-    val = g2_zero(q_coherent(0.9, 0.9), LadderAction(d, "lower", "deformed"))
+    val = g2_zero(q_coherent(0.9, 0.9), d, "deformed")
     assert val == pytest.approx(1.0, abs=1e-10)
 
 
 def test_g2_fock_two():
-    val = g2_zero(fock_state(2), LadderAction(HARMONIC, "lower", "bare"))
+    val = g2_zero(fock_state(2), HARMONIC, "bare")
     assert val == pytest.approx(0.5, rel=1e-12)
 
 
 def test_g2_vacuum_degenerate():
     with pytest.raises(DegenerateStateError):
-        g2_zero(fock_state(0), LadderAction(HARMONIC, "lower", "bare"))
+        g2_zero(fock_state(0), HARMONIC, "bare")
+
+
+def test_unknown_direction_or_convention_refused():
+    s = glauber(1.0)
+    with pytest.raises(ValidationError, match="direction must be lower/raise, got 'up'"):
+        apply_ladder(s, HARMONIC, "up")
+    for call in (mandel_q, g2_zero):
+        with pytest.raises(ValidationError, match="must be bare/deformed, got 'photon'"):
+            call(s, HARMONIC, "photon")
+    with pytest.raises(ValidationError, match="must be bare/deformed, got 'photon'"):
+        nonclassicality_report(s, HARMONIC, number_convention="photon")
 
 
 # ------------------------------------------------------ photon distribution
@@ -315,6 +326,32 @@ def test_report_roundtrip_and_invariants():
 def test_report_vacuum_degenerate():
     with pytest.raises(DegenerateStateError):
         nonclassicality_report(fock_state(0), HARMONIC)
+
+
+@pytest.mark.parametrize("convention", ["bare", "deformed"])
+def test_report_reads_q_and_g2_off_the_diagnostics(convention):
+    d = Deformation.q_deformed(0.9)
+    s = q_coherent(0.9, 0.9)
+    report = nonclassicality_report(s, d, number_convention=convention)
+    assert report.mandel_q == mandel_q(s, d, convention)
+    assert report.g2_zero == g2_zero(s, d, convention)
+    # the bare convention is the default of all three
+    if convention == "bare":
+        assert nonclassicality_report(s, d).to_json() == report.to_json()
+        assert (mandel_q(s, d), g2_zero(s, d)) == (report.mandel_q, report.g2_zero)
+
+
+@pytest.mark.parametrize("var_y, var_z, gur_rhs", [
+    (math.nan, 0.25, 0.25),
+    (0.25, math.nan, 0.25),
+    (0.25, 0.25, math.nan),
+    (-0.1, 0.25, 0.0),
+    (0.1, 0.1, 0.25),  # var_y var_z below gur_rhs^2
+])
+def test_bad_report_refused_when_built(var_y, var_z, gur_rhs):
+    # each comparison is written so that a NaN fails it
+    with pytest.raises(ValidationError):
+        NonclassicalityReport(var_y, var_z, gur_rhs, 0.0, 1.0, 1.0, np.zeros(2))
 
 
 # ----------------------------------------------------------- autocorrelation

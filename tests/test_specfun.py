@@ -301,6 +301,28 @@ def test_no_process_pool_in_the_library():
     assert found == []
 
 
+def test_no_public_parameter_goes_unread():
+    # a parameter that its function never reads is a setting no caller can use
+    unread = []
+    for path in sorted(Path(defock.__file__).parent.glob("*.py")):
+        body = ast.parse(path.read_text()).body
+        scopes = [("", body)] + [(f"{node.name}.", node.body) for node in body
+                                 if isinstance(node, ast.ClassDef) and node.name[0] != "_"]
+        for owner, nodes in scopes:
+            for fn in nodes:
+                if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                        or fn.name.startswith("_"):
+                    continue
+                a = fn.args
+                params = {arg.arg for arg in (*a.posonlyargs, *a.args, *a.kwonlyargs,
+                                              a.vararg, a.kwarg) if arg}
+                read = {node.id for stmt in fn.body for node in ast.walk(stmt)
+                        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+                unread.extend(f"{path.stem}.{owner}{fn.name}({name})"
+                              for name in sorted(params - read))
+    assert unread == []
+
+
 # ---------------------------------------------------------------- log gamma
 
 def test_log_gamma_examples():
