@@ -20,7 +20,7 @@ import cmath
 import functools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import SimpleNamespace
 
 import numpy as np
@@ -81,9 +81,12 @@ class TwoModeState:
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Square, unit-trace, Hermitian, positive-semidefinite (to tolerance)
-    matrix, checked when it is built; a NaN or inf entry fails the checks."""
+    matrix, checked when it is built; a NaN or inf entry fails the checks.
+    The spectrum the positivity check computes is kept, read-only, for
+    ``von_neumann_entropy``."""
 
     rho: np.ndarray
+    _eigs: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         rho = _as_float_or_complex(self.rho)
@@ -92,13 +95,17 @@ class DensityMatrix:
             raise ValidationError("density matrix must be square")
         if not abs(float(np.trace(rho).real) - 1.0) <= 1e-10:
             raise ValidationError("trace must be 1 within 1e-10")
-        if not float(np.max(np.abs(rho - rho.conj().T))) <= 1e-12:
+        with np.errstate(invalid="ignore"):  # inf - inf is NaN, which fails the check
+            asymmetry = float(np.max(np.abs(rho - rho.conj().T)))
+        if not asymmetry <= 1e-12:
             raise ValidationError("matrix not Hermitian within 1e-12")
         eigs = np.linalg.eigvalsh(rho)
         if not float(eigs.min()) >= -1e-10:
             raise ValidationError(f"negative eigenvalue {eigs.min():.3e}")
         object.__setattr__(self, "rho", rho)
+        object.__setattr__(self, "_eigs", eigs)
         rho.flags.writeable = False
+        eigs.flags.writeable = False
 
     @property
     def dim(self) -> int:
@@ -230,15 +237,9 @@ def linear_entropy(rho: DensityMatrix) -> float:
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
-    """-sum lambda ln lambda over eigenvalues above 1e-14."""
-    try:
-        eigs = np.linalg.eigvalsh(rho.rho)
-    except np.linalg.LinAlgError as exc:
-        scale = float(np.max(np.abs(rho.rho)))
-        raise DefockError(
-            f"eigendecomposition failed (dim={rho.dim}, max|rho|={scale:.3e})"
-        ) from exc
-    eigs = eigs[eigs >= 1e-14]
+    """-sum lambda ln lambda over eigenvalues above 1e-14, read off the
+    spectrum that the matrix's own check computed."""
+    eigs = rho._eigs[rho._eigs >= 1e-14]
     return float(-np.sum(eigs * np.log(eigs)))
 
 

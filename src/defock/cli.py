@@ -39,10 +39,6 @@ EXIT_TOLERANCE = 4
 # so they are checked before anything is allocated
 MAX_GRID_POINTS = 10**6
 
-# a family of one deformation kind contradicts the option that sets the
-# other kind's parameter
-_CONTRADICTS = {"nc": "q", "q": "tau"}
-
 
 def finite(text: str) -> float:
     """A finite real: argparse reports nan, inf and malformed text as
@@ -111,14 +107,20 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     # config value goes in as its JSON text
     texts = {key.replace("-", "_"): value if isinstance(value, str) else json.dumps(value)
              for key, value in (defaults or {}).items()}
-    for name, (_, help_text, options, _) in _COMMANDS.items():
+    for name, (_, help_text, _, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text, allow_abbrev=False)
-        for option in (*options, "--config", "--out", "--format"):
-            flag, own = (option, {}) if isinstance(option, str) else option
-            dest = p.add_argument(flag, **{**_OPTIONS[flag], **own}).dest
+        for flag, keywords in _options(name):
+            dest = p.add_argument(flag, **keywords).dest
             if dest in texts:
                 p.set_defaults(**{dest: texts[dest]})
     return parser
+
+
+def _options(command):
+    """(flag, add_argument keywords) of each option ``command`` reads."""
+    for option in (*_COMMANDS[command][2], "--config", "--out", "--format"):
+        flag, own = (option, {}) if isinstance(option, str) else option
+        yield flag, {**_OPTIONS[flag], **own}
 
 
 @functools.lru_cache(maxsize=None)
@@ -130,45 +132,44 @@ def _default_parser() -> argparse.ArgumentParser:
 
 def _family_state(args):
     """Check the options against the family's contract, then build the
-    state and its deformation.  Sets ``args.alpha``, which the registry's
+    deformation and the state.  Sets ``args.alpha``, which the registry's
     callables read."""
     family = args.family
     spec = states.FAMILIES[family]
-    option = _CONTRADICTS.get(spec.kind)
-    if option and getattr(args, option) is not None:
-        raise ValidationError(f"--{option} contradicts family {family}")
+    # a family refuses each family option it does not require
+    for option in ("tau", "q", "J", "parity"):
+        if option not in spec.requires and getattr(args, option) is not None:
+            raise ValidationError(f"--{option} contradicts family {family}")
     for option in spec.requires:
         if getattr(args, option) is None:
             raise ValidationError(f"--{option} is required for {family}")
     args.alpha = complex(args.alpha_re, args.alpha_im)
     if math.isinf(math.hypot(args.alpha_re, args.alpha_im)):
         raise ValidationError("|alpha| exceeds the double range")
-    if spec.kind == "nc":
-        # before the state: a negative tau is reported in the deformation's words
-        deformation = Deformation.perturbative_nc(args.tau)
-        return spec.build(args, args.nmax), deformation
-    state = spec.build(args, args.nmax)
-    return state, Deformation.q_deformed(args.q) if spec.kind == "q" else Deformation.harmonic()
+    # before the state: a bad tau or q is reported in the deformation's words
+    deformation = Deformation(spec.kind, **{option: getattr(args, option)
+                                            for option in ("tau", "q") if option in spec.requires})
+    return spec.build(args, args.nmax), deformation
 
 
-def _wants(args, kind) -> bool:
-    return args.format in ("all", kind)
+def _write(args, name, write) -> None:
+    """Create --out, then call ``write(path)`` for the artifact ``name`` if
+    --format selects its kind, the suffix of ``name``."""
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    if args.format in ("all", Path(name).suffix[1:]):
+        write(out / name)
 
 
 def cmd_state(args) -> int:
     state, _ = _family_state(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    if _wants(args, "json"):
-        (out / "state.json").write_text(state.to_json() + "\n", encoding="utf-8")
-    if _wants(args, "csv"):
-        dist = metrics.photon_distribution(state)
-        table = fock_io.ScanTable(
-            columns=["n", "P_n"],
-            rows=[[n, p] for n, p in enumerate(dist.tolist())],
-            provenance={"label": state.label},
-        )
-        fock_io.write_csv(table, out / "photon_distribution.csv")
+    _write(args, "state.json",
+           lambda path: path.write_text(state.to_json() + "\n", encoding="utf-8"))
+    _write(args, "photon_distribution.csv", lambda path: fock_io.write_csv(fock_io.ScanTable(
+        columns=["n", "P_n"],
+        rows=[[n, p] for n, p in enumerate(metrics.photon_distribution(state).tolist())],
+        provenance={"label": state.label},
+    ), path))
     norm_const = states.FAMILIES[args.family].norm(args)
     print(
         f"family={args.family} n_max={state.n_max} "
@@ -183,10 +184,8 @@ def cmd_metrics(args) -> int:
     report = metrics.nonclassicality_report(
         state, deformation, number_convention=args.number
     )
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    if _wants(args, "json"):
-        (out / "metrics.json").write_text(report.to_json() + "\n", encoding="utf-8")
+    _write(args, "metrics.json",
+           lambda path: path.write_text(report.to_json() + "\n", encoding="utf-8"))
     print(f"state      : {state.label}")
     print(f"number conv: {args.number}")
     for name, value in (
@@ -202,8 +201,9 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_autocorr(args) -> int:
-    if args.points < 2 or args.tmax <= 0:
-        raise ValidationError("need --points >= 2 and --tmax > 0")
+    # detect_peaks needs 3 samples: checked before any grid or file exists
+    if args.points < 3 or args.tmax <= 0:
+        raise ValidationError("need --points >= 3 and --tmax > 0")
     if args.points > MAX_GRID_POINTS:
         raise ValidationError(f"--points must be at most {MAX_GRID_POINTS}, got {args.points}")
     t = np.linspace(0.0, args.tmax, args.points)
@@ -211,8 +211,6 @@ def cmd_autocorr(args) -> int:
         args.J, args.gamma, args.tau, args.omega, t, n_max=args.nmax
     )
     times = metrics.revival_times(args.J, args.tau, args.omega, nbar=args.nbar)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     table = fock_io.ScanTable(
         columns=["t", "A"],
         rows=np.column_stack((t, a)).tolist(),
@@ -223,13 +221,9 @@ def cmd_autocorr(args) -> int:
             "omega": fock_io.format_real(args.omega),
         },
     )
-    if _wants(args, "csv"):
-        fock_io.write_csv(table, out / "autocorr.csv")
-    if _wants(args, "svg"):
-        fock_io.write_svg_lineplot(
-            table, "t", ["A"], out / "autocorr.svg",
-            style={"title": "autocorrelation", "xlabel": "t"},
-        )
+    _write(args, "autocorr.csv", lambda path: fock_io.write_csv(table, path))
+    _write(args, "autocorr.svg", lambda path: fock_io.write_svg_lineplot(
+        table, "t", ["A"], path, style={"title": "autocorrelation", "xlabel": "t"}))
     peaks = metrics.detect_peaks(t, a, min_height=0.2)
     peak_str = " ".join(f"{p:.4g}" for p in peaks[:12])
     print(f"t_cl={times.t_cl:.2f} t_rev={times.t_rev:.2f}")
@@ -255,15 +249,10 @@ def cmd_entropy_scan(args) -> int:
     bs = bsm.BeamSplitter(theta=args.theta, phi=args.phi)
     table = bsm.entropy_scan(args.family.replace("-", "_"), alphas, taus, zeta=args.zeta,
                              bs=bs, n_max=args.nmax)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    if _wants(args, "csv"):
-        fock_io.write_csv(table, out / "entropy_scan.csv")
-    if _wants(args, "svg"):
-        fock_io.write_svg_lineplot(
-            table, "alpha", ["S_direct"], out / "entropy_scan.svg",
-            style={"title": f"linear entropy ({args.family})", "xlabel": "alpha"},
-        )
+    _write(args, "entropy_scan.csv", lambda path: fock_io.write_csv(table, path))
+    _write(args, "entropy_scan.svg", lambda path: fock_io.write_svg_lineplot(
+        table, "alpha", ["S_direct"], path,
+        style={"title": f"linear entropy ({args.family})", "xlabel": "alpha"}))
     flagged = sum(1 for row in table.rows if row[-1])
     print(f"rows={len(table.rows)} flagged={flagged}")
     return EXIT_OK
@@ -274,8 +263,6 @@ def cmd_measure_check(args) -> int:
         raise ValidationError("--moments must be >= 0")
     params = measure.calibrate(args.tau)
     checks = measure.moment_table(params, args.moments)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     table = fock_io.ScanTable(
         columns=["n", "computed", "target", "rel_err"],
         provenance={
@@ -289,8 +276,7 @@ def cmd_measure_check(args) -> int:
     for chk in checks:
         worst = max(worst, chk.rel_err)
         table.append([chk.n, chk.computed, chk.target, chk.rel_err])
-    if _wants(args, "csv"):
-        fock_io.write_csv(table, out / "measure_check.csv")
+    _write(args, "measure_check.csv", lambda path: fock_io.write_csv(table, path))
     print(f"tau={args.tau} mu={params.mu} moments<=n={args.moments} worst_rel_err={worst:.3e}")
     if worst > args.tol:
         raise ToleranceError(
@@ -344,10 +330,11 @@ def main(argv=None) -> int:
                 return EXIT_VALIDATION
             args = build_parser(defaults).parse_args(argv)
             # argparse checks the choices of explicit flags only
-            for dest, value in vars(args).items():
-                choices = _OPTIONS.get("--" + dest.replace("_", "-"), {}).get("choices")
+            for flag, keywords in _options(args.command):
+                value = getattr(args, flag[2:].replace("-", "_"), None)
+                choices = keywords.get("choices")
                 if choices and value is not None and value not in choices:
-                    print(f"config value {value!r} is not a choice of --{dest}", file=sys.stderr)
+                    print(f"config value {value!r} is not a choice of {flag}", file=sys.stderr)
                     return EXIT_VALIDATION
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_VALIDATION

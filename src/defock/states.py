@@ -274,18 +274,21 @@ def _check_basis(basis: str):
 # coherent states
 # ---------------------------------------------------------------------------
 
+def _n_log(n: np.ndarray, x: float) -> np.ndarray:
+    """n log x over the levels n, with 0 log 0 = 0: x^n is 1 at n = 0 for x = 0 too."""
+    if x == 0.0:
+        return np.where(n == 0, 0.0, -math.inf)
+    return n * math.log(x)
+
+
 def _power_series_logs(alpha: complex, log_denom: np.ndarray):
     """log-magnitude and phase of alpha^n / exp(log_denom[n])."""
     n = np.arange(len(log_denom), dtype=float)
-    mag = abs(alpha)
-    if mag == 0.0:
-        log_abs = np.full(len(log_denom), -math.inf)
-        log_abs[0] = -log_denom[0]
-        phase = np.ones(len(log_denom), dtype=complex)
-        return log_abs, phase
-    log_abs = n * math.log(mag) - log_denom
-    # not cmath.phase, which raises where the angle underflows (alpha = 1e308 + 1e-300j)
-    phase = np.exp(1j * math.atan2(alpha.imag, alpha.real) * n)
+    log_abs = _n_log(n, abs(alpha)) - log_denom
+    # not cmath.phase, which raises where the angle underflows (alpha = 1e308 + 1e-300j);
+    # a zero alpha, of either sign, has phase 1
+    arg = math.atan2(alpha.imag, alpha.real) if alpha != 0 else 0.0
+    phase = np.exp(1j * arg * n)
     return log_abs, phase
 
 
@@ -411,9 +414,7 @@ def _gk_series(J: float, gamma: float | None, tau: float):
     def logs(w):
         n = np.arange(w)
         phase = None if gamma is None else np.exp(-1j * gamma * dimensionless_e(d, n))
-        if J == 0.0:
-            return np.where(n == 0, 0.0, -math.inf), phase
-        return 0.5 * n * math.log(J) - 0.5 * log_rho_table(d, w), phase
+        return 0.5 * _n_log(n, J) - 0.5 * log_rho_table(d, w), phase
 
     return logs
 
@@ -605,11 +606,8 @@ def _pacs_series(alpha: complex, q: float, m: int):
         phase = np.ones(w, dtype=complex)
         ks = np.arange(m, w)
         ns = (ks - m).astype(float)
-        if mag == 0.0:
-            log_abs[m] = 0.5 * log_qf[m]
-        else:
-            log_abs[ks] = ns * math.log(mag) + 0.5 * log_qf[ks] - log_qf[ks - m]
-            phase[ks] = np.exp(1j * arg * ns)
+        log_abs[ks] = _n_log(ns, mag) + 0.5 * log_qf[ks] - log_qf[ks - m]
+        phase[ks] = np.exp(1j * arg * ns)
         return log_abs, phase
 
     return logs

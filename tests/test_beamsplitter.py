@@ -223,9 +223,12 @@ def test_bad_density_matrix_rejected():
     (np.array([[math.nan, 0.0], [0.0, 1.0]]), "trace must be 1"),
     (np.array([[0.5, 0.0], [0.0, math.nan]]), "trace must be 1"),
     (np.array([[0.5, math.nan], [math.nan, 0.5]]), "not Hermitian"),
+    (np.array([[0.5, math.inf], [math.inf, 0.5]]), "not Hermitian"),
 ])
+@pytest.mark.filterwarnings("error")
 def test_density_matrix_with_nan_refused_when_built(rho, message):
-    # each check is written so that a NaN fails it
+    # each check is written so that a NaN fails it, and an inf entry is
+    # refused without a RuntimeWarning from inf - inf
     with pytest.raises(ValidationError, match=message):
         DensityMatrix(rho)
 
@@ -267,6 +270,24 @@ def test_von_neumann_examples():
         -0.9 * math.log(0.9) - 0.1 * math.log(0.1), rel=1e-10
     )
     assert von_neumann_entropy(skew) == pytest.approx(0.325083, abs=1e-6)
+
+
+def test_von_neumann_entropy_reuses_the_checked_spectrum(monkeypatch):
+    # the positivity check diagonalises rho; the entropy reads that spectrum
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    rho = partial_trace(apply_beamsplitter(nlcs(1.0, 0.1, 64), FIFTY), "c")
+    s_vn = von_neumann_entropy(rho)
+    assert len(calls) == 1
+    eigs = eigvalsh(rho.rho)
+    eigs = eigs[eigs >= 1e-14]
+    assert s_vn == float(-np.sum(eigs * np.log(eigs)))
 
 
 def test_entropy_bounds():

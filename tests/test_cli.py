@@ -186,6 +186,16 @@ def test_autocorr_empty_grid_exit_2(tmp_path):
     assert code == 2
 
 
+def test_autocorr_two_points_exit_2_before_any_file(tmp_path, capsys):
+    # the peak search needs 3 samples, so 2 points are refused with the
+    # grid check, before the grid or an artifact exists
+    out = tmp_path / "out"
+    assert run(["autocorr", "--J", "1.5", "--tau", "0.1", "--tmax", "10",
+                "--points", "2", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "validation error: need --points >= 3 and --tmax > 0\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv, option", [
     (["autocorr", "--J", "1.5", "--tau", "0.1", "--tmax", "10", "--points"], "--points"),
     (["entropy-scan", "--family", "glauber", "--alpha-max", "2", "--alpha-steps"],
@@ -362,6 +372,19 @@ def test_determinism_byte_identical(tmp_path):
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes(), name
 
 
+# A small run of each subcommand and the artifacts it writes with --format all.
+_ARTIFACTS = [
+    (["state", "--family", "glauber", "--alpha-re", "1"],
+     {"state.json", "photon_distribution.csv"}),
+    (["metrics", "--family", "glauber", "--alpha-re", "1"], {"metrics.json"}),
+    (["autocorr", "--J", "1.5", "--tau", "0.1", "--tmax", "10", "--points", "11"],
+     {"autocorr.csv", "autocorr.svg"}),
+    (["entropy-scan", "--family", "glauber", "--alphas", "0.5,1", "--nmax", "16"],
+     {"entropy_scan.csv", "entropy_scan.svg"}),
+    (["measure-check", "--tau", "1", "--moments", "2"], {"measure_check.csv"}),
+]
+
+
 def test_format_filter(tmp_path):
     code = run([
         "state", "--family", "glauber", "--alpha-re", "1", "--format", "json",
@@ -370,6 +393,17 @@ def test_format_filter(tmp_path):
     assert code == 0
     assert (tmp_path / "state.json").exists()
     assert not (tmp_path / "photon_distribution.csv").exists()
+
+
+@pytest.mark.parametrize("argv, names", _ARTIFACTS, ids=[argv[0] for argv, _ in _ARTIFACTS])
+@pytest.mark.parametrize("kind", ["csv", "json", "svg", "all"])
+def test_format_filter_each_subcommand(tmp_path, argv, names, kind):
+    # --out is created whatever --format selects; a file is written if
+    # --format selects the kind its suffix names
+    out = tmp_path / "out"
+    assert run(argv + ["--format", kind, "--out", str(out)]) == 0
+    want = {name for name in names if kind in ("all", name.rsplit(".", 1)[1])}
+    assert {path.name for path in out.iterdir()} == want
 
 
 def test_repeated_main_calls_identical_stdout(tmp_path, capsys):
@@ -466,16 +500,24 @@ _FAMILY_REQUIRES = {
     "nlcs": ("tau",), "q-coherent": ("q",), "gk": ("tau", "J"),
     "nc-squeezed": ("tau",), "cat": ("q", "parity"), "pacs": ("q",),
 }
+# the families that take each family option: tau the minimal-length ones, q
+# the q-deformed ones (so a harmonic family takes neither), J only gk and
+# parity only cat; every other family refuses it
+_TAKES = {
+    "tau": {family for family, kind in _FAMILY_KIND.items() if kind == "nc"},
+    "q": {family for family, kind in _FAMILY_KIND.items() if kind == "q"},
+    "J": {"gk"},
+    "parity": {"cat"},
+}
 _OPTION_VALUES = {"tau": "0.1", "q": "0.9", "J": "1.5", "parity": "even"}
-_OPTION_SETS = ((), ("tau",), ("q",), ("tau", "q"), ("tau", "J"), ("q", "parity"))
+_OPTION_SETS = ((), ("tau",), ("q",), ("J",), ("parity",), ("tau", "q"), ("tau", "J"),
+                ("q", "parity"), ("tau", "q", "J", "parity"))
 
 
 def _contract_error(family, given):
-    kind = _FAMILY_KIND[family]
-    if kind == "nc" and "q" in given:
-        return f"--q contradicts family {family}"
-    if kind == "q" and "tau" in given:
-        return f"--tau contradicts family {family}"
+    for name, takers in _TAKES.items():
+        if name in given and family not in takers:
+            return f"--{name} contradicts family {family}"
     for name in _FAMILY_REQUIRES.get(family, ()):
         if name not in given:
             return f"--{name} is required for {family}"
@@ -629,6 +671,17 @@ def test_config_values_pass_the_option_types_and_choices(tmp_path, capsys, confi
     assert run(["state", "--family", "glauber", "--config", str(cfg),
                 "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_values_pass_the_subcommands_own_choices(tmp_path, capsys):
+    # entropy-scan narrows --family to the scannable families
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"family": "cat"}))
+    out = tmp_path / "out"
+    assert run(["entropy-scan", "--alphas", "0.5", "--config", str(cfg),
+                "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "config value 'cat' is not a choice of --family\n"
     assert not out.exists()
 
 

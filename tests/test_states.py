@@ -9,7 +9,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from defock.deform import Deformation, log_rho_table
+from defock import states
+from defock.deform import Deformation, dimensionless_e, log_rho_table
 from defock.errors import (
     DegenerateStateError,
     DivergenceError,
@@ -38,6 +39,7 @@ from defock.states import (
     squeezed_coeffs_recurrence,
     squeezed_normalization,
 )
+from defock.specfun import log_factorial_table
 from oracles import (
     f_factorial_squared,
     q_exponential,
@@ -342,6 +344,30 @@ def test_q_coherent_divergence():
         q_coherent(1.2, 0.5)
     # inside the radius it still converges (slowly) or truncation-errors
     q_coherent(1.0, 0.5, 128)
+
+
+@pytest.mark.parametrize("alpha", [0j, complex(-0.0, 0.0), complex(0.0, -0.0)])
+def test_series_at_a_zero_argument(alpha):
+    # one rule, 0 log 0 = 0: x^n is 1 at n = 0 for x = 0 too, so each series
+    # keeps only its first level, with phase 1 for a zero of either sign
+    assert np.array_equal(states._n_log(np.arange(3.0), 0.0), [0.0, -math.inf, -math.inf])
+    w = 12
+    empty = np.full(w - 1, -math.inf)
+    for log_denom in (0.5 * log_factorial_table(w), np.linspace(0.25, 3.0, w)):
+        log_abs, phase = states._power_series_logs(alpha, log_denom)
+        assert np.array_equal(log_abs, np.r_[-log_denom[0], empty])
+        assert phase.tobytes() == np.ones(w, dtype=complex).tobytes()
+    log_abs, phase = states._gk_series(0.0, 0.7, 0.1)(w)
+    assert np.array_equal(log_abs, np.r_[0.0, empty])
+    e_n = dimensionless_e(Deformation.perturbative_nc(0.1), np.arange(w))
+    assert np.array_equal(phase, np.exp(-1j * 0.7 * e_n))
+    for m in (0, 2):
+        log_abs, phase = states._pacs_series(alpha, 0.9, m)(w)
+        wide = len(log_abs)
+        want = np.full(wide, -math.inf)
+        want[m] = 0.5 * log_rho_table(Deformation.q_deformed(0.9), wide)[m]
+        assert np.array_equal(log_abs, want)
+        assert phase.tobytes() == np.ones(wide, dtype=complex).tobytes()
 
 
 # ------------------------------------------------------------ Gazeau-Klauder
