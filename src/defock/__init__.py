@@ -35,7 +35,7 @@ from .errors import (
     TruncationError,
     ValidationError,
 )
-from .fock_io import ScanTable, read_csv, write_csv, write_svg_lineplot
+from .fock_io import ScanTable, write_csv, write_svg_lineplot
 from .measure import MeasureParams, calibrate, moment_check, moment_table, omega
 from .metrics import (
     GKUncertainty,

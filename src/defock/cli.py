@@ -59,14 +59,16 @@ _OPTIONS = {
     "--family": dict(choices=tuple(states.FAMILIES)),
     "--tau": dict(type=finite),
     "--q": dict(type=finite),
-    "--alpha-re": dict(type=finite, default=0.0),
-    "--alpha-im": dict(type=finite, default=0.0),
-    "--zeta": dict(type=finite, default=0.0),
+    # the family options default to None: each family fills in its own
+    # defaults and refuses the options it does not read
+    "--alpha-re": dict(type=finite),
+    "--alpha-im": dict(type=finite),
+    "--zeta": dict(type=finite),
     "--J": dict(type=finite),
-    "--gamma": dict(type=finite, default=0.0),
-    "--m": dict(type=int, default=0),
+    "--gamma": dict(type=finite),
+    "--m": dict(type=int),
     "--parity": dict(choices=("even", "odd")),
-    "--basis": dict(choices=("bare", "perturbed"), default="perturbed"),
+    "--basis": dict(choices=("bare", "perturbed")),
     "--nmax": dict(type=int, default=states.DEFAULT_N_MAX),
     "--number": dict(choices=("bare", "deformed"), default="bare"),
     "--omega": dict(type=finite, default=0.5),
@@ -131,21 +133,27 @@ def _default_parser() -> argparse.ArgumentParser:
 
 
 def _family_state(args):
-    """Check the options against the family's contract, then build the
-    deformation and the state.  Sets ``args.alpha``, which the registry's
-    callables read."""
+    """Check the options against the family's contract, fill in the
+    family's defaults, then build the deformation and the state.  Sets
+    ``args.alpha`` for a family that reads alpha; the registry's callables
+    read it."""
     family = args.family
     spec = states.FAMILIES[family]
-    # a family refuses each family option it does not require
-    for option in ("tau", "q", "J", "parity"):
-        if option not in spec.requires and getattr(args, option) is not None:
-            raise ValidationError(f"--{option} contradicts family {family}")
+    # a family refuses each family option it neither requires nor defaults
+    for flag in _FAMILY_OPTIONS:
+        option = flag[2:].replace("-", "_")
+        if option in spec.defaults:
+            if getattr(args, option) is None:
+                setattr(args, option, spec.defaults[option])
+        elif option not in spec.requires and getattr(args, option) is not None:
+            raise ValidationError(f"{flag} contradicts family {family}")
     for option in spec.requires:
         if getattr(args, option) is None:
             raise ValidationError(f"--{option} is required for {family}")
-    args.alpha = complex(args.alpha_re, args.alpha_im)
-    if math.isinf(math.hypot(args.alpha_re, args.alpha_im)):
-        raise ValidationError("|alpha| exceeds the double range")
+    if "alpha_re" in spec.defaults:
+        args.alpha = complex(args.alpha_re, args.alpha_im)
+        if math.isinf(math.hypot(args.alpha_re, args.alpha_im)):
+            raise ValidationError("|alpha| exceeds the double range")
     # before the state: a bad tau or q is reported in the deformation's words
     deformation = Deformation(spec.kind, **{option: getattr(args, option)
                                             for option in ("tau", "q") if option in spec.requires})
@@ -285,8 +293,9 @@ def cmd_measure_check(args) -> int:
     return EXIT_OK
 
 
-_STATE_OPTIONS = ("--family", "--tau", "--q", "--alpha-re", "--alpha-im", "--zeta", "--J",
-                  "--gamma", "--m", "--parity", "--basis", "--nmax")
+_FAMILY_OPTIONS = ("--tau", "--q", "--alpha-re", "--alpha-im", "--zeta", "--J", "--gamma",
+                   "--m", "--parity", "--basis")
+_STATE_OPTIONS = ("--family", *_FAMILY_OPTIONS, "--nmax")
 
 # Every subcommand once: its handler, its help, the options it reads
 # besides --config, --out and --format, and those of them it cannot run
@@ -299,13 +308,13 @@ _COMMANDS = {
     "metrics": (cmd_metrics, "nonclassicality report", (*_STATE_OPTIONS, "--number"),
                 ("--family",)),
     "autocorr": (cmd_autocorr, "Gazeau-Klauder autocorrelation trace",
-                 ("--J", "--tau", "--gamma", "--omega", "--nmax", "--tmax", "--points",
-                  "--nbar"), ("--J", "--tau", "--tmax", "--points")),
+                 ("--J", "--tau", ("--gamma", dict(default=0.0)), "--omega", "--nmax",
+                  "--tmax", "--points", "--nbar"), ("--J", "--tau", "--tmax", "--points")),
     "entropy-scan": (cmd_entropy_scan, "beam-splitter entropy scan", (
         ("--family", dict(choices=[name for name, spec in states.FAMILIES.items()
                                    if spec.scannable])),
-        "--alphas", "--alpha-max", "--alpha-steps", "--taus", "--zeta", "--theta", "--phi",
-        "--nmax", "--workers"), ("--family",)),
+        "--alphas", "--alpha-max", "--alpha-steps", "--taus", ("--zeta", dict(default=0.0)),
+        "--theta", "--phi", "--nmax", "--workers"), ("--family",)),
     "measure-check": (cmd_measure_check, "measure moment verification",
                       ("--tau", "--moments", "--tol"), ("--tau",)),
 }

@@ -1,4 +1,4 @@
-"""Artifact files: CSV tables, written and read back, and SVG line plots.
+"""Artifact files: CSV tables and SVG line plots.
 
 All writers are deterministic: identical inputs produce byte-identical
 files (no timestamps, no locale dependence).  Reals are written with 17
@@ -20,7 +20,6 @@ __all__ = [
     "ScanTable",
     "format_real",
     "write_csv",
-    "read_csv",
     "write_svg_lineplot",
 ]
 
@@ -92,34 +91,6 @@ def write_csv(table: ScanTable, path) -> None:
         for row in table.rows:
             lines.append(",".join(_format_cell(v) for v in row))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
-
-
-def read_csv(path) -> ScanTable:
-    """Parse a file written by :func:`write_csv`; numeric cells become floats."""
-    provenance = {}
-    columns = None
-    rows = []
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
-        if not raw:
-            continue
-        if raw.startswith("#"):
-            key, _, value = raw[1:].strip().partition("=")
-            provenance[key] = value
-            continue
-        cells = raw.split(",")
-        if columns is None:
-            columns = cells
-            continue
-        parsed = []
-        for cell in cells:
-            try:
-                parsed.append(float(cell))
-            except ValueError:
-                parsed.append(cell)
-        rows.append(parsed)
-    if columns is None:
-        raise ValidationError(f"no header row in {path}")
-    return ScanTable(columns=columns, rows=rows, provenance=provenance)
 
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")

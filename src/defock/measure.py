@@ -10,6 +10,14 @@ perturbative kernel.  Matching the Mellin transform of K against the
 gamma structure of rho fixes beta = 0 and mu = 1 + 2/tau; the overall
 constant is calibrated on the zeroth moment since the literal prefactor
 does not normalize rho_0 to 1 on its own.
+
+Each moment is one adaptive quadrature over u = sqrt(t) on [0, inf).  The
+quadrature maps the half-line the same way for every moment, and the
+integrands differ only in the power of u, so the moments share most of
+their nodes.  The node terms of log Omega (the t power, the Bessel factor
+and ln u) are kept per ``MeasureParams`` and computed once per node:
+``calibrate`` and a ``moment_table`` on its result make one ``bessel_k_log``
+call per distinct node.  The memo lives and dies with its parameters.
 """
 
 from __future__ import annotations
@@ -66,6 +74,9 @@ class MeasureParams:
         # the t-independent part of log Omega, hoisted out of the integrand
         object.__setattr__(self, "_log_const",
                            math.log(self.norm) + _log_shape_const(self.tau, self.mu, self.beta))
+        # u -> the node terms of the moment integrand; they depend on tau,
+        # mu and beta only, so calibrate hands the raw memo to its result
+        object.__setattr__(self, "_nodes", {})
 
 
 @lru_cache(maxsize=64)
@@ -76,20 +87,21 @@ def _log_shape_const(tau: float, mu: float, beta: float) -> float:
             - log_gamma(1.0 + beta) - 0.5 * (mu + beta) * math.log(tau))
 
 
-def _log_omega(t: float, p: MeasureParams) -> float:
+def _node_terms(t: float, p: MeasureParams) -> tuple[float, float]:
+    # the t power and the Bessel factor of log Omega; callers add them to
+    # _log_const in this order, so omega and the integrand agree to the bit.
+    # bessel_k_log is looked up as a module global on each call, so a
+    # wrapper installed on that global sees every evaluation.
     x = 2.0 * math.sqrt(2.0 * t / p.tau)
-    return (
-        p._log_const
-        + 0.5 * (p.mu + p.beta) * math.log(t)
-        + bessel_k_log(p.mu - p.beta, x)
-    )
+    return 0.5 * (p.mu + p.beta) * math.log(t), bessel_k_log(p.mu - p.beta, x)
 
 
 def omega(t: float, p: MeasureParams) -> float:
     """Measure density at t > 0; underflows to 0 for large t."""
     if t <= 0:
         raise ValidationError("omega needs t > 0")
-    logv = _log_omega(t, p)
+    power, bessel = _node_terms(t, p)
+    logv = p._log_const + power + bessel
     if logv < -745.0:
         return 0.0
     return math.exp(logv)
@@ -102,11 +114,16 @@ def _moment_integral(n: int, p: MeasureParams) -> tuple[float, float]:
     # and no other subcommand needs it
     from scipy.integrate import quad
 
+    log_const, nodes, k = p._log_const, p._nodes, 2 * n + 1
+
     def integrand(u):
         if u <= 0.0:
             return 0.0
-        t = u * u
-        logv = _log_omega(t, p) + (2 * n + 1) * math.log(u) + math.log(2.0)
+        terms = nodes.get(u)
+        if terms is None:
+            terms = nodes[u] = (*_node_terms(u * u, p), math.log(u))
+        power, bessel, log_u = terms
+        logv = log_const + power + bessel + k * log_u + math.log(2.0)
         if logv < -745.0:
             return 0.0
         return math.exp(logv)
@@ -136,7 +153,9 @@ def calibrate(tau: float) -> MeasureParams:
         raise ValidationError(f"tau must be >= {MIN_TAU}, got {tau!r}")
     raw = MeasureParams(tau=tau, mu=1.0 + 2.0 / tau, beta=0.0, norm=1.0)
     zeroth, _ = _moment_integral(0, raw)
-    return MeasureParams(tau=tau, mu=raw.mu, beta=raw.beta, norm=1.0 / zeroth)
+    calibrated = MeasureParams(tau=tau, mu=raw.mu, beta=raw.beta, norm=1.0 / zeroth)
+    object.__setattr__(calibrated, "_nodes", raw._nodes)
+    return calibrated
 
 
 @dataclass(frozen=True)

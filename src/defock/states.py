@@ -642,7 +642,8 @@ def pacs_norm_sq(alpha: complex, q: float, m: int) -> float:
 @dataclass(frozen=True)
 class Family:
     """A command-line state family: its deformation kind, the options it
-    requires (in the order they are checked), and ``build(p, n_max)`` and
+    requires (in the order they are checked), the options it reads with a
+    default (option to default value), and ``build(p, n_max)`` and
     ``norm(p)``, which read the options from the attributes of ``p``
     (``alpha`` as one complex).  ``norm`` does not depend on the truncation
     ``build`` used: the l2 norm of the family's raw series, except for
@@ -651,6 +652,7 @@ class Family:
 
     kind: str
     requires: tuple
+    defaults: dict
     build: Callable
     norm: Callable
 
@@ -662,26 +664,29 @@ class Family:
 
 # The callables look the constructors up as module globals when they run,
 # so a wrapper installed on a module global sees every build.
+_ALPHA = {"alpha_re": 0.0, "alpha_im": 0.0}
 FAMILIES = {
-    "glauber": Family("harmonic", (), lambda p, n: glauber(p.alpha, n),
+    "glauber": Family("harmonic", (), _ALPHA, lambda p, n: glauber(p.alpha, n),
                       lambda p: math.exp(abs(p.alpha) ** 2 / 2.0)),
-    "nlcs": Family("nc", ("tau",), lambda p, n: nlcs(p.alpha, p.tau, n, basis=p.basis),
+    "nlcs": Family("nc", ("tau",), {**_ALPHA, "basis": "perturbed"},
+                   lambda p, n: nlcs(p.alpha, p.tau, n, basis=p.basis),
                    lambda p: nlcs_normalization(p.alpha, p.tau)),
-    "q-coherent": Family("q", ("q",), lambda p, n: q_coherent(p.alpha, p.q, n),
+    "q-coherent": Family("q", ("q",), _ALPHA, lambda p, n: q_coherent(p.alpha, p.q, n),
                          lambda p: q_normalization(p.alpha, p.q)),
-    "gk": Family("nc", ("tau", "J"),
+    "gk": Family("nc", ("tau", "J"), {"gamma": 0.0, "basis": "perturbed"},
                  lambda p, n: gk_coherent(p.J, p.gamma, p.tau, n, basis=p.basis),
                  lambda p: gk_normalization(p.J, p.tau)),
     "nc-squeezed": Family(
-        "nc", ("tau",),
+        "nc", ("tau",), {**_ALPHA, "zeta": 0.0, "basis": "perturbed"},
         lambda p, n: nc_squeezed(p.alpha, p.zeta, p.tau, n, basis=p.basis),
         lambda p: squeezed_normalization(p.alpha, p.zeta,
                                          Deformation.perturbative_nc(p.tau))),
     "ho-squeezed": Family(
-        "harmonic", (), lambda p, n: ho_squeezed(p.alpha, p.zeta, n),
+        "harmonic", (), {**_ALPHA, "zeta": 0.0}, lambda p, n: ho_squeezed(p.alpha, p.zeta, n),
         lambda p: squeezed_normalization(p.alpha, p.zeta, Deformation.harmonic())),
-    "cat": Family("q", ("q", "parity"), lambda p, n: cat_q(p.alpha, p.q, p.parity, n),
+    "cat": Family("q", ("q", "parity"), _ALPHA,
+                  lambda p, n: cat_q(p.alpha, p.q, p.parity, n),
                   lambda p: math.sqrt(cat_norm_sq(p.alpha, p.q, p.parity))),
-    "pacs": Family("q", ("q",), lambda p, n: pacs_q(p.alpha, p.q, p.m, n),
+    "pacs": Family("q", ("q",), {**_ALPHA, "m": 0}, lambda p, n: pacs_q(p.alpha, p.q, p.m, n),
                    lambda p: math.sqrt(pacs_norm_sq(p.alpha, p.q, p.m))),
 }

@@ -1,22 +1,26 @@
 """Reference helpers that only the tests use: the q-integer, direct
 products and recurrences for q-factorials, the q-exponential, rising
 factorials, Hermite polynomials, Bessel K, f^2(n)!, rho_n, the level
-energies, the summed normalization constants, and the terminating Gauss
-2F1 closed form of the squeezed seed.  The library itself reads the
-cached log tables of ``defock.specfun`` and ``defock.deform`` and builds
-the squeezed seed by its recurrence; these are the plain forms the tests
-check those against."""
+energies, the summed normalization constants, the terminating Gauss
+2F1 closed form of the squeezed seed, the measure's moment quadrature
+without its node memo, and a reader for the CLI's CSV artifacts.  The
+library itself reads the cached log tables of ``defock.specfun`` and
+``defock.deform``, builds the squeezed seed by its recurrence and shares
+the Bessel factor across a measure's quadrature nodes; these are the plain
+forms the tests check those against."""
 
 import cmath
 import itertools
 import math
 import warnings
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
 
 from defock.deform import Deformation, dimensionless_e, log_f_factorial_table, log_rho
 from defock.errors import DivergenceError, ValidationError
+from defock.fock_io import ScanTable
 from defock.specfun import bessel_k_log
 from defock.states import _RADIUS_MARGIN
 
@@ -266,3 +270,62 @@ def squeezed_coeff_closed_form(alpha: complex, zeta: complex, tau: float,
         pref = (mp.mpc(0, 1) ** n) * mp.mpc(zeta * b_coef) ** (mp.mpf(n) / 2)
         pref *= mp.rf(mp.mpf(c_param), n)
         return complex(pref * mp.mpc(f_val))
+
+
+def measure_log_omega(t: float, p) -> float:
+    """log Omega(t) of the ``MeasureParams`` p, every term computed afresh."""
+    x = 2.0 * math.sqrt(2.0 * t / p.tau)
+    return (
+        p._log_const
+        + 0.5 * (p.mu + p.beta) * math.log(t)
+        + bessel_k_log(p.mu - p.beta, x)
+    )
+
+
+def measure_moment_integral(n: int, p, nodes=None) -> tuple:
+    """(value, quad's absolute error estimate) of int_0^inf t^n Omega(t) dt
+    over u = sqrt(t), with one Bessel evaluation per integrand call.  Each
+    node u the quadrature visits is added to the set ``nodes`` if given."""
+    from scipy.integrate import quad
+
+    def integrand(u):
+        if nodes is not None:
+            nodes.add(u)
+        if u <= 0.0:
+            return 0.0
+        t = u * u
+        logv = measure_log_omega(t, p) + (2 * n + 1) * math.log(u) + math.log(2.0)
+        if logv < -745.0:
+            return 0.0
+        return math.exp(logv)
+
+    return quad(integrand, 0.0, math.inf, limit=300, epsabs=0.0, epsrel=1e-10)
+
+
+def read_csv(path) -> ScanTable:
+    """Parse a file written by ``defock.fock_io.write_csv``; numeric cells
+    become floats."""
+    provenance = {}
+    columns = None
+    rows = []
+    for raw in Path(path).read_text(encoding="utf-8").splitlines():
+        if not raw:
+            continue
+        if raw.startswith("#"):
+            key, _, value = raw[1:].strip().partition("=")
+            provenance[key] = value
+            continue
+        cells = raw.split(",")
+        if columns is None:
+            columns = cells
+            continue
+        parsed = []
+        for cell in cells:
+            try:
+                parsed.append(float(cell))
+            except ValueError:
+                parsed.append(cell)
+        rows.append(parsed)
+    if columns is None:
+        raise ValidationError(f"no header row in {path}")
+    return ScanTable(columns=columns, rows=rows, provenance=provenance)

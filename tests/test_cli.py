@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 
 import defock
 from defock.cli import MAX_GRID_POINTS, build_parser, main
-from defock.fock_io import read_csv
 from defock.states import FockState
+from oracles import read_csv
 
 
 def run(args):
@@ -101,8 +101,9 @@ _NORM_OPTIONS = {
 def test_state_norm_const_does_not_depend_on_nmax(tmp_path, capsys, family):
     # norm_const is the norm of the whole raw series, not of its first n_max levels
     printed = []
+    alpha = [] if family == "gk" else ["--alpha-re", "1.2"]  # gk reads no alpha
     for nmax in ("16", "64"):
-        assert run(["state", "--family", family, "--alpha-re", "1.2", "--nmax", nmax,
+        assert run(["state", "--family", family, *alpha, "--nmax", nmax,
                     *_NORM_OPTIONS[family], "--out", str(tmp_path)]) == 0
         printed.append(_printed_norm_const(capsys))
     assert printed[0] == printed[1]
@@ -500,18 +501,31 @@ _FAMILY_REQUIRES = {
     "nlcs": ("tau",), "q-coherent": ("q",), "gk": ("tau", "J"),
     "nc-squeezed": ("tau",), "cat": ("q", "parity"), "pacs": ("q",),
 }
-# the families that take each family option: tau the minimal-length ones, q
-# the q-deformed ones (so a harmonic family takes neither), J only gk and
-# parity only cat; every other family refuses it
+# the families that take each family option, in the order the program checks
+# them: tau the minimal-length ones, q the q-deformed ones (so a harmonic
+# family takes neither), alpha every family but gk, zeta the squeezed ones, J
+# and gamma only gk, m only pacs, parity only cat and basis the minimal-length
+# ones with a basis (nlcs, gk, nc-squeezed); every other family refuses it
+_READS_ALPHA = set(_FAMILY_KIND) - {"gk"}
 _TAKES = {
     "tau": {family for family, kind in _FAMILY_KIND.items() if kind == "nc"},
     "q": {family for family, kind in _FAMILY_KIND.items() if kind == "q"},
+    "alpha-re": _READS_ALPHA,
+    "alpha-im": _READS_ALPHA,
+    "zeta": {"nc-squeezed", "ho-squeezed"},
     "J": {"gk"},
+    "gamma": {"gk"},
+    "m": {"pacs"},
     "parity": {"cat"},
+    "basis": {"nlcs", "gk", "nc-squeezed"},
 }
-_OPTION_VALUES = {"tau": "0.1", "q": "0.9", "J": "1.5", "parity": "even"}
+_OPTION_VALUES = {"tau": "0.1", "q": "0.9", "alpha-re": "0.8", "alpha-im": "0.1",
+                  "zeta": "0.3", "J": "1.5", "gamma": "0.7", "m": "1", "parity": "even",
+                  "basis": "bare"}
 _OPTION_SETS = ((), ("tau",), ("q",), ("J",), ("parity",), ("tau", "q"), ("tau", "J"),
-                ("q", "parity"), ("tau", "q", "J", "parity"))
+                ("q", "parity"), ("tau", "q", "J", "parity"), ("alpha-re",), ("alpha-im",),
+                ("zeta",), ("gamma",), ("m",), ("basis",), ("alpha-re", "tau", "zeta", "basis"),
+                ("alpha-re", "q", "m"), ("tau", "J", "gamma", "basis"), tuple(_OPTION_VALUES))
 
 
 def _contract_error(family, given):
@@ -528,8 +542,9 @@ def _contract_error(family, given):
 @pytest.mark.parametrize("family", list(_FAMILY_KIND))
 def test_family_contract_matrix(tmp_path, capsys, command, family):
     for given in _OPTION_SETS:
-        argv = [command, "--family", family, "--alpha-re", "0.8", "--format", "json",
-                "--out", str(tmp_path)]
+        argv = [command, "--family", family, "--format", "json", "--out", str(tmp_path)]
+        if family in _READS_ALPHA and "alpha-re" not in given:
+            argv += ["--alpha-re", "0.8"]  # the vacuum has no Mandel Q
         for name in given:
             argv += [f"--{name}", _OPTION_VALUES[name]]
         code = run(argv)
@@ -573,7 +588,8 @@ def test_tracer_counts_one_build_per_state_job_and_scan_point(tmp_path):
         "        'nc-squeezed': ['--tau', '0.1', '--zeta', '0.2'],\n"
         "        'ho-squeezed': ['--zeta', '0.2'], 'cat': ['--q', '0.9', '--parity', 'even'],\n"
         "        'pacs': ['--q', '0.9', '--m', '1']}\n"
-        "jobs = [['state', '--family', f, '--alpha-re', '0.8', *o] for f, o in opts.items()]\n"
+        "jobs = [['state', '--family', f, *o] + ([] if f == 'gk' else ['--alpha-re', '0.8'])\n"
+        "        for f, o in opts.items()]\n"
         "jobs.append(['entropy-scan', '--family', 'nlcs', '--alphas', '0.5,1.0',\n"
         "             '--taus', '0.1,0.2', '--nmax', '16'])\n"
         f"codes = [defock.cli.main(argv + ['--out', {str(tmp_path)!r}]) for argv in jobs]\n"

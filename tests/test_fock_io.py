@@ -9,10 +9,10 @@ from defock.fock_io import (
     ScanTable,
     _widen,
     format_real,
-    read_csv,
     write_csv,
     write_svg_lineplot,
 )
+from oracles import read_csv
 
 
 TRICKY_DOUBLES = [

@@ -7,6 +7,9 @@ import pytest
 from defock import measure
 from defock.errors import QuadratureError, ValidationError
 from defock.measure import MeasureParams, calibrate, moment_check, moment_table, omega
+from oracles import measure_log_omega, measure_moment_integral
+
+_MEMO_TAUS = [measure.MIN_TAU, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 4.0]
 
 
 def test_calibrate_parameter_identification():
@@ -59,6 +62,43 @@ def test_prefactor_evaluated_once_per_tau(monkeypatch):
     tau = 0.3125  # a value no other test calibrates, so the prefactor cache is cold
     moment_table(calibrate(tau), 10)
     assert calls == [1.0]
+
+
+@pytest.mark.parametrize("tau", _MEMO_TAUS)
+def test_shared_nodes_give_the_bits_of_one_bessel_call_per_integrand_call(tau):
+    raw = MeasureParams(tau=tau, mu=1.0 + 2.0 / tau, beta=0.0, norm=1.0)
+    p = calibrate(tau)
+    assert p.norm == 1.0 / measure_moment_integral(0, raw)[0]
+    for chk in moment_table(p, 10):
+        assert (chk.computed, chk.quad_err) == measure_moment_integral(chk.n, p), chk.n
+    for t in np.geomspace(1e-8, 1e3, 50):
+        assert omega(float(t), p) == math.exp(measure_log_omega(float(t), p)), t
+
+
+@pytest.mark.parametrize("tau", _MEMO_TAUS)
+def test_one_bessel_call_per_distinct_node(monkeypatch, tau):
+    # calibrate's raw zeroth moment and moments 0..10 visit these nodes
+    raw = MeasureParams(tau=tau, mu=1.0 + 2.0 / tau, beta=0.0, norm=1.0)
+    nodes = set()
+    measure_moment_integral(0, raw, nodes)
+    p = calibrate(tau)
+    for n in range(11):
+        measure_moment_integral(n, p, nodes)
+    nodes.discard(0.0)  # the integrand returns 0 there before any Bessel call
+    calls = []
+    real = measure.bessel_k_log
+    monkeypatch.setattr(measure, "bessel_k_log", lambda nu, x: calls.append(x) or real(nu, x))
+    per_job = []
+    for _ in range(2):  # a second job at the same tau reuses nothing of the first
+        calls.clear()
+        q = calibrate(tau)
+        moment_table(q, 10)
+        per_job.append(len(calls))
+    assert per_job == [len(nodes)] * 2
+    assert len(nodes) <= 400
+    # the memo is invisible: equality and repr read the four fields only
+    assert q == MeasureParams(tau=tau, mu=p.mu, beta=p.beta, norm=p.norm)
+    assert repr(q) == f"MeasureParams(tau={tau!r}, mu={p.mu!r}, beta=0.0, norm={p.norm!r})"
 
 
 def test_omega_positive_on_log_grid():
