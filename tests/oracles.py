@@ -2,11 +2,11 @@
 products and recurrences for q-factorials, the q-exponential, rising
 factorials, Hermite polynomials, Bessel K, f^2(n)!, rho_n, the level
 energies, the summed normalization constants, the terminating Gauss
-2F1 closed form of the squeezed seed, the measure's moment quadrature
-without its node memo, and a reader for the CLI's CSV artifacts.  The
-library itself reads the cached log tables of ``defock.specfun`` and
-``defock.deform``, builds the squeezed seed by its recurrence and shares
-the Bessel factor across a measure's quadrature nodes; these are the plain
+2F1 closed form of the squeezed seed, the measure's moments by adaptive
+quadrature, and a reader for the CLI's CSV artifacts.  The library itself
+reads the cached log tables of ``defock.specfun`` and ``defock.deform``,
+builds the squeezed seed by its recurrence and takes the measure's moments
+by one trapezoid rule on an order recurrence for K; these are the plain
 forms the tests check those against."""
 
 import cmath
@@ -272,32 +272,27 @@ def squeezed_coeff_closed_form(alpha: complex, zeta: complex, tau: float,
         return complex(pref * mp.mpc(f_val))
 
 
-def measure_log_omega(t: float, p) -> float:
-    """log Omega(t) of the ``MeasureParams`` p, every term computed afresh."""
-    x = 2.0 * math.sqrt(2.0 * t / p.tau)
-    return (
-        p._log_const
-        + 0.5 * (p.mu + p.beta) * math.log(t)
-        + bessel_k_log(p.mu - p.beta, x)
-    )
-
-
-def measure_moment_integral(n: int, p, nodes=None) -> tuple:
+def measure_moment_integral(n: int, tau: float) -> tuple:
     """(value, quad's absolute error estimate) of int_0^inf t^n Omega(t) dt
-    over u = sqrt(t), with one Bessel evaluation per integrand call.  Each
-    node u the quadrature visits is added to the set ``nodes`` if given."""
+    at tau, by QUADPACK's qagie over u = sqrt(t), with the norm in closed
+    form and K_mu from ``scipy.special.kve`` (mpmath where it overflows)."""
     from scipy.integrate import quad
+    from scipy.special import kve
+
+    mu = 1.0 + 2.0 / tau
+    log_const = (-math.lgamma(2.0 + 2.0 / tau) + 0.5 * (4.0 + mu) * math.log(2.0)
+                 - math.log(tau) + math.log(2.0))
 
     def integrand(u):
-        if nodes is not None:
-            nodes.add(u)
         if u <= 0.0:
             return 0.0
         t = u * u
-        logv = measure_log_omega(t, p) + (2 * n + 1) * math.log(u) + math.log(2.0)
-        if logv < -745.0:
-            return 0.0
-        return math.exp(logv)
+        x = 2.0 * math.sqrt(2.0 * t / tau)
+        scaled = float(kve(mu, x))
+        log_k = (math.log(scaled) - x if 0.0 < scaled < math.inf
+                 else float(mp.log(mp.besselk(mu, x))))
+        logv = log_const + 0.5 * mu * math.log(t / tau) + log_k + (2 * n + 1) * math.log(u)
+        return math.exp(logv) if logv > -745.0 else 0.0
 
     return quad(integrand, 0.0, math.inf, limit=300, epsabs=0.0, epsrel=1e-10)
 

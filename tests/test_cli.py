@@ -444,15 +444,47 @@ def _fresh_probe(code):
 
 
 def test_scipy_integrate_imported_only_by_measure_check(tmp_path):
+    # not even by measure-check: its trapezoid rule needs only scipy.special
     lines = _fresh_probe(
+        "import contextlib, io\n"
         "import defock.cli\n"
-        "print('scipy.integrate' in sys.modules)\n"
-        f"code = defock.cli.main(['measure-check', '--tau', '1', '--moments', '1', "
-        f"'--out', {str(tmp_path)!r}])\n"
-        "print(code, 'scipy.integrate' in sys.modules)\n"
+        "def job(*argv):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"        code = defock.cli.main([*argv, '--out', {str(tmp_path)!r}])\n"
+        "    print(argv[0], code, 'scipy.integrate' in sys.modules)\n"
+        "print('import', 0, 'scipy.integrate' in sys.modules)\n"
+        "job('state', '--family', 'nlcs', '--tau', '0.1', '--alpha-re', '1')\n"
+        "job('metrics', '--family', 'glauber', '--alpha-re', '1')\n"
+        "job('autocorr', '--J', '1.5', '--tau', '0.1', '--tmax', '5', '--points', '50')\n"
+        "job('entropy-scan', '--family', 'nlcs', '--alphas', '0.5', '--taus', '0.1',\n"
+        "    '--nmax', '16')\n"
+        "job('measure-check', '--tau', '1', '--moments', '1')\n"
     ).splitlines()
-    assert lines[0] == "False"
-    assert lines[-1] == "0 True"
+    assert lines == [f"{name} 0 False" for name in (
+        "import", "state", "metrics", "autocorr", "entropy-scan", "measure-check")]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--tau", "10", "--moments", "82"],
+    ["--tau", "4", "--moments", "90"],
+    ["--tau", "1e6", "--moments", "10"],
+    ["--tau", "1.7976931348623157e308", "--moments", "1"],
+])
+def test_measure_check_where_the_adaptive_quadrature_failed(tmp_path, capsys, argv):
+    # qagie reported a relative error of 1.0 at tau 10, summed moment 90 at
+    # tau 4 to inf, and did not converge at tau 1e6 (with scipy's warning on
+    # stderr) or at the largest double
+    assert run(["measure-check", *argv, "--out", str(tmp_path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert float(captured.out.split("worst_rel_err=")[1]) < 1e-12
+    assert read_csv(tmp_path / "measure_check.csv").column("n")[-1] == int(argv[-1])
+
+
+def test_measure_check_at_the_largest_tau_refuses_rho_past_the_double_range(tmp_path, capsys):
+    assert run(["measure-check", "--tau", "1e308", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        "validation error: rho_10 at tau=1e+308 exceeds the double range\n")
 
 
 def test_import_loads_no_process_pool():

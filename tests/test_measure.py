@@ -1,13 +1,16 @@
 import math
+import sys
 
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from defock import measure
 from defock.errors import QuadratureError, ValidationError
 from defock.measure import MeasureParams, calibrate, moment_check, moment_table, omega
-from oracles import measure_log_omega, measure_moment_integral
+from oracles import measure_moment_integral
 
 _MEMO_TAUS = [measure.MIN_TAU, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 4.0]
 
@@ -35,18 +38,18 @@ def test_moments_match_rho(tau):
 def test_omega_against_mpmath_kernel():
     # same formula evaluated with the mpmath Bessel as an independent route
     p = calibrate(0.1)
-    t = 1.0
-    x = 2.0 * math.sqrt(2.0 * t / p.tau)
-    with mp.workdps(30):
-        log_k = float(mp.log(mp.besselk(p.mu, x)))
-    log_ref = (
-        math.log(p.norm)
-        + 0.5 * (4.0 + p.mu) * math.log(2.0)
-        - math.log(p.tau)
-        + 0.5 * p.mu * math.log(t / p.tau)
-        + log_k
-    )
-    assert omega(t, p) == pytest.approx(math.exp(log_ref), rel=1e-8)
+    for t in np.geomspace(1e-8, 1e3, 12).tolist():
+        x = 2.0 * math.sqrt(2.0 * t / p.tau)
+        with mp.workdps(30):
+            log_k = float(mp.log(mp.besselk(p.mu, x)))
+        log_ref = (
+            math.log(p.norm)
+            + 0.5 * (4.0 + p.mu) * math.log(2.0)
+            - math.log(p.tau)
+            + 0.5 * p.mu * math.log(t / p.tau)
+            + log_k
+        )
+        assert omega(t, p) == pytest.approx(math.exp(log_ref), rel=1e-12), t
 
 
 @pytest.mark.parametrize("tau", [0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 4.0])
@@ -57,34 +60,25 @@ def test_ten_moments_and_quad_error(tau):
 
 
 def test_prefactor_evaluated_once_per_tau(monkeypatch):
+    # the norm 1/Gamma(2 + 2/tau) is the only log_gamma of a moment table
     calls = []
     monkeypatch.setattr(measure, "log_gamma", lambda x: calls.append(x) or math.lgamma(x))
-    tau = 0.3125  # a value no other test calibrates, so the prefactor cache is cold
+    tau = 0.3125
     moment_table(calibrate(tau), 10)
-    assert calls == [1.0]
+    assert calls == [2.0 + 2.0 / tau]
 
 
 @pytest.mark.parametrize("tau", _MEMO_TAUS)
-def test_shared_nodes_give_the_bits_of_one_bessel_call_per_integrand_call(tau):
-    raw = MeasureParams(tau=tau, mu=1.0 + 2.0 / tau, beta=0.0, norm=1.0)
-    p = calibrate(tau)
-    assert p.norm == 1.0 / measure_moment_integral(0, raw)[0]
-    for chk in moment_table(p, 10):
-        assert (chk.computed, chk.quad_err) == measure_moment_integral(chk.n, p), chk.n
-    for t in np.geomspace(1e-8, 1e3, 50):
-        assert omega(float(t), p) == math.exp(measure_log_omega(float(t), p)), t
+def test_moment_table_agrees_with_the_adaptive_quadrature(tau):
+    # QUADPACK's qagie over u = sqrt(t), with Amos' K, is an independent route
+    for chk in moment_table(calibrate(tau), 10):
+        value, _ = measure_moment_integral(chk.n, tau)
+        assert abs(chk.computed - value) <= 1e-12 * value, chk.n
 
 
 @pytest.mark.parametrize("tau", _MEMO_TAUS)
 def test_one_bessel_call_per_distinct_node(monkeypatch, tau):
-    # calibrate's raw zeroth moment and moments 0..10 visit these nodes
-    raw = MeasureParams(tau=tau, mu=1.0 + 2.0 / tau, beta=0.0, norm=1.0)
-    nodes = set()
-    measure_moment_integral(0, raw, nodes)
-    p = calibrate(tau)
-    for n in range(11):
-        measure_moment_integral(n, p, nodes)
-    nodes.discard(0.0)  # the integrand returns 0 there before any Bessel call
+    # one bessel_k_log call takes every node of a moment table at once
     calls = []
     real = measure.bessel_k_log
     monkeypatch.setattr(measure, "bessel_k_log", lambda nu, x: calls.append(x) or real(nu, x))
@@ -93,12 +87,46 @@ def test_one_bessel_call_per_distinct_node(monkeypatch, tau):
         calls.clear()
         q = calibrate(tau)
         moment_table(q, 10)
-        per_job.append(len(calls))
-    assert per_job == [len(nodes)] * 2
-    assert len(nodes) <= 400
-    # the memo is invisible: equality and repr read the four fields only
-    assert q == MeasureParams(tau=tau, mu=p.mu, beta=p.beta, norm=p.norm)
-    assert repr(q) == f"MeasureParams(tau={tau!r}, mu={p.mu!r}, beta=0.0, norm={p.norm!r})"
+        assert len(calls) == 1
+        per_job.append(len(calls[0]))
+        assert len(np.unique(calls[0])) == len(calls[0])
+    assert per_job[0] == per_job[1] <= 700
+    # nothing else is held: equality and repr read tau only
+    assert q == MeasureParams(tau=tau)
+    assert repr(q) == f"MeasureParams(tau={tau!r})"
+
+
+def _closed_form_log_rho(tau: float) -> list:
+    # ln rho_n = n ln(tau/2) + ln n! + ln Gamma(n+2+2/tau) - ln Gamma(2+2/tau),
+    # at 40 digits, for n = 0 .. 170
+    with mp.workdps(40):
+        t = mp.mpf(tau)
+        logs = [mp.mpf(0)]
+        for n in range(1, 171):
+            logs.append(logs[-1] + mp.log(t / 2) + mp.log(n) + mp.log(n + 1 + 2 / t))
+    return logs
+
+
+@settings(database=None, derandomize=True, deadline=None, max_examples=60)
+@given(tau=st.floats(min_value=measure.MIN_TAU, max_value=sys.float_info.max),
+       share=st.floats(min_value=0.0, max_value=1.0))
+@example(tau=measure.MIN_TAU, share=1.0)
+@example(tau=100.0, share=0.0)  # moment 0 alone sets the widest step
+@example(tau=4.0, share=1.0)
+@example(tau=10.0, share=1.0)
+@example(tau=1e6, share=1.0)
+@example(tau=sys.float_info.max, share=1.0)
+def test_moments_within_1e_12_of_the_closed_form_under_their_error_estimate(tau, share):
+    # every accepted tau and every n_top up to the last rho_n that fits a
+    # double (the margin keeps the target's own rounding off that edge)
+    logs = _closed_form_log_rho(tau)
+    cap = max(n for n, value in enumerate(logs) if value <= math.log(sys.float_info.max) - 1e-9)
+    for chk in moment_table(calibrate(tau), round(share * cap)):
+        with mp.workdps(40):
+            exact = mp.exp(logs[chk.n])
+            err = float(abs(mp.mpf(chk.computed) - exact))
+            assert err <= 1e-12 * float(exact), (chk.n, err / float(exact))
+        assert chk.quad_err >= err, (chk.n, err, chk.quad_err)
 
 
 def test_omega_positive_on_log_grid():
@@ -129,10 +157,15 @@ def test_domain_errors():
         calibrate(0.0)
     with pytest.raises(ValidationError):
         moment_check(-1, p)
-    with pytest.raises(ValidationError):
+    # tau is the one field; mu, beta and norm follow from it
+    with pytest.raises(ValidationError, match="tau must be >= 0.0125"):
+        MeasureParams(tau=0.01)
+    with pytest.raises(ValidationError, match="tau must be finite"):
+        MeasureParams(tau=math.inf)
+    with pytest.raises(TypeError):
         MeasureParams(tau=0.5, mu=1.0, beta=2.0, norm=1.0)
-    with pytest.raises(ValidationError):
-        MeasureParams(tau=0.5, mu=1.0, beta=0.0, norm=0.0)
+    with pytest.raises(AttributeError):
+        p.mu = 2.0
 
 
 def _no_quadrature(*args, **kwargs):
@@ -140,10 +173,13 @@ def _no_quadrature(*args, **kwargs):
 
 
 def test_tau_below_the_floor_refused_before_any_quadrature(monkeypatch):
-    monkeypatch.setattr(measure, "_moment_integral", _no_quadrature)
+    monkeypatch.setattr(measure, "_trapezoid", _no_quadrature)
+    monkeypatch.setattr(measure, "bessel_k_log", _no_quadrature)
     for tau in (measure.MIN_TAU * (1.0 - 1e-12), 0.01, 1e-300, 0.0, -1.0, math.nan):
         with pytest.raises(ValidationError, match="tau must be >= 0.0125"):
             calibrate(tau)
+    with pytest.raises(ValidationError, match="tau must be finite"):
+        calibrate(math.inf)
 
 
 def test_tau_at_the_floor_calibrates():
@@ -155,19 +191,25 @@ def test_tau_at_the_floor_calibrates():
 def test_moment_past_the_double_range_refused_before_any_quadrature(monkeypatch, tau, top):
     # rho_n leaves the double range from n = top + 1 on
     p = calibrate(tau)
-    monkeypatch.setattr(measure, "_moment_integral", _no_quadrature)
+    monkeypatch.setattr(measure, "_trapezoid", _no_quadrature)
     for n_top in (top + 1, 170, 171, 10**12):
         with pytest.raises(ValidationError, match=f"rho_{n_top} at tau={tau!r} exceeds"):
             moment_table(p, n_top)
+        with pytest.raises(ValidationError, match=f"rho_{n_top} at tau={tau!r} exceeds"):
+            moment_check(n_top, p)
     with pytest.raises(AssertionError, match="quadrature ran"):
         moment_table(p, top)
 
 
-def test_overflow_in_the_quadrature_is_a_quadrature_error():
-    # the uncalibrated integrand at tau 0.01 peaks near e^868
-    raw = MeasureParams(tau=0.01, mu=1.0 + 2.0 / 0.01, beta=0.0, norm=1.0)
-    with pytest.raises(QuadratureError, match="left the double range"):
-        moment_check(0, raw)
-    # a quadrature that sums to inf is not a moment
-    with pytest.raises(QuadratureError, match="value=inf"):
-        moment_check(143, calibrate(0.05))
+def test_overflow_in_the_quadrature_is_a_quadrature_error(monkeypatch):
+    # a rule that sums to inf is not a moment
+    real = measure.bessel_k_log
+    monkeypatch.setattr(measure, "bessel_k_log", lambda nu, x: real(nu, x) + 1000.0)
+    with pytest.raises(QuadratureError, match=r"left the double range \(n=0\)"):
+        moment_check(0, calibrate(0.5))
+    monkeypatch.setattr(measure, "bessel_k_log", real)
+    # the adaptive quadrature summed moment 143 at tau 0.05 (2.07e307) to
+    # inf; the rule has it, and moment 144 is refused before it runs
+    assert moment_check(143, calibrate(0.05)).rel_err < 1e-12
+    with pytest.raises(ValidationError, match="rho_144 at tau=0.05 exceeds"):
+        moment_check(144, calibrate(0.05))

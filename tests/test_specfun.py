@@ -1,5 +1,6 @@
 import ast
 import math
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,6 +12,7 @@ from scipy.special import kve
 
 import defock
 from defock.errors import ValidationError
+from defock.measure import MIN_TAU
 from defock.specfun import (
     bessel_k_log,
     log_factorial_table,
@@ -240,12 +242,29 @@ def test_bessel_k_mpmath_grid():
     assert worst < 1e-10
 
 
+def test_bessel_k_log_on_every_node_of_the_measure_against_mpmath():
+    # the measure's orders mu = 1 + 2/tau for tau from MIN_TAU to the largest
+    # double, and its nodes x from (2 + mu) e^-22.5 (5e-10) to past
+    # 2 n + 2 + mu + 10 sqrt(2 n + 2 + mu) + 60 at n = 170 (830), with the
+    # span 0.5 < x <= 2 where kve alone is off by up to 2e-13; the error of
+    # ln K relative to max(1, |ln K|), since ln K crosses 0
+    mus = [1.0 + 2.0 / tau for tau in (sys.float_info.max, 1e6, 13.69, 10.0, 4.0, 2.0, 1.0,
+                                       0.5, 0.2, 0.1, 0.05, 0.02, MIN_TAU)] + [1.1, 2.1, 3.1, 7.5]
+    xs = np.concatenate([np.geomspace(5e-10, 1200.0, 24), np.linspace(0.45, 2.5, 9)])
+    worst = 0.0
+    for mu in mus:
+        for x, value in zip(xs.tolist(), bessel_k_log(mu, xs).tolist()):
+            ref = mp_bessel_k_log(mu, x)
+            worst = max(worst, abs(value - ref) / max(1.0, abs(ref)))
+    assert worst < 1e-13
+
+
 @pytest.mark.parametrize("nu", [41.0, 60.0])
 @pytest.mark.parametrize("x", [1e-6, 1e-4])
 def test_bessel_k_log_past_double_range(nu, x):
-    # kve overflows at (41, 1e-6), (60, 1e-6) and (60, 1e-4); the
-    # log-domain fallback must agree with the finite route at (41, 1e-4)
-    # and with mpmath everywhere
+    # kve overflows at (41, 1e-6), (60, 1e-6) and (60, 1e-4); the log of the
+    # recurrence must agree with the finite route at (41, 1e-4) and with
+    # mpmath everywhere
     assert math.isfinite(kve(nu, x)) == ((nu, x) == (41.0, 1e-4))
     assert abs(math.expm1(bessel_k_log(nu, x) - mp_bessel_k_log(nu, x))) < 1e-10
 
@@ -262,7 +281,8 @@ def test_bessel_k_errors():
 
 
 def test_mpmath_imported_only_by_the_bessel_overflow_fallback():
-    # the library's one use of mpmath; its mpmath oracles live in tests/oracles.py
+    # the library has no mpmath at all, not even in the Bessel overflow
+    # fallback it once had; its mpmath oracles live in tests/oracles.py
     found = []
 
     def visit(node, module, where):
@@ -280,7 +300,7 @@ def test_mpmath_imported_only_by_the_bessel_overflow_fallback():
 
     for path in sorted(Path(defock.__file__).parent.glob("*.py")):
         visit(ast.parse(path.read_text()), path.stem, None)
-    assert found == [("specfun", "bessel_k_log")]
+    assert found == []
 
 
 def test_no_process_pool_in_the_library():
