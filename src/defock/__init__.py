@@ -36,7 +36,7 @@ from .errors import (
     ValidationError,
 )
 from .fock_io import ScanTable, write_csv, write_svg_lineplot
-from .measure import MeasureParams, calibrate, moment_check, moment_table, omega
+from .measure import MeasureParams, moment_table, omega
 from .metrics import (
     GKUncertainty,
     NonclassicalityReport,

@@ -28,7 +28,7 @@ import numpy as np
 from .errors import DefockError, ValidationError, _stacklevel_outside
 from .fock_io import ScanTable
 from .specfun import log_factorial_table
-from .states import FAMILIES, FockState, _check_n_max, nc_coherent_coeffs
+from .states import FAMILIES, FockState, _check_n_max, _check_tau, nc_coherent_coeffs
 
 __all__ = [
     "BeamSplitter",
@@ -294,7 +294,7 @@ def _closed_form(c: np.ndarray, m: np.ndarray, gram: np.ndarray, purity: float,
             warnings.warn(
                 f"entropy closed form: boundary terms contribute "
                 f"{abs(boundary) / purity:.2e} of the sum; enlarge n_max",
-                stacklevel=_stacklevel_outside(__file__),
+                stacklevel=_stacklevel_outside(),
             )
     return 1.0 - total / norm_sq**2
 
@@ -359,8 +359,9 @@ def entropy_scan(family: str, alpha_grid, tau_grid=None, *,
     ``family`` is a registry family whose parameters fit the grid, spelled
     with '_' for '-'.  Every grid point is evaluated independently;
     failures are recorded in the ``flag`` column and never abort the scan.
-    For the ``nlcs`` family the closed-form value is computed alongside the
-    direct one.
+    A tau that no minimal-length state takes is refused before the first
+    point.  For the ``nlcs`` family the closed-form value is computed
+    alongside the direct one.
     """
     names = {name.replace("-", "_"): name for name, spec in FAMILIES.items() if spec.scannable}
     if family not in names:
@@ -370,6 +371,9 @@ def entropy_scan(family: str, alpha_grid, tau_grid=None, *,
     taus = [float(t) for t in np.atleast_1d(tau_grid)] if tau_grid is not None else [0.0]
     if not alphas or not taus:
         raise ValidationError("scan grids must be non-empty")
+    if "tau" in FAMILIES[names[family]].requires:
+        for t in taus:
+            _check_tau(t)
     bs = bs or BeamSplitter()
     table = ScanTable(
         columns=["alpha", "tau", "zeta", "S_direct", "S_closed", "flag"],

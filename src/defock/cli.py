@@ -215,16 +215,13 @@ def cmd_autocorr(args) -> int:
     if args.points > MAX_GRID_POINTS:
         raise ValidationError(f"--points must be at most {MAX_GRID_POINTS}, got {args.points}")
     t = np.linspace(0.0, args.tmax, args.points)
-    a = metrics.gk_autocorrelation(
-        args.J, args.gamma, args.tau, args.omega, t, n_max=args.nmax
-    )
+    a = metrics.gk_autocorrelation(args.J, args.tau, args.omega, t, n_max=args.nmax)
     times = metrics.revival_times(args.J, args.tau, args.omega, nbar=args.nbar)
     table = fock_io.ScanTable(
         columns=["t", "A"],
         rows=np.column_stack((t, a)).tolist(),
         provenance={
             "J": fock_io.format_real(args.J),
-            "gamma": fock_io.format_real(args.gamma),
             "tau": fock_io.format_real(args.tau),
             "omega": fock_io.format_real(args.omega),
         },
@@ -269,7 +266,7 @@ def cmd_entropy_scan(args) -> int:
 def cmd_measure_check(args) -> int:
     if args.moments < 0:
         raise ValidationError("--moments must be >= 0")
-    params = measure.calibrate(args.tau)
+    params = measure.MeasureParams(args.tau)
     checks = measure.moment_table(params, args.moments)
     table = fock_io.ScanTable(
         columns=["n", "computed", "target", "rel_err"],
@@ -308,8 +305,8 @@ _COMMANDS = {
     "metrics": (cmd_metrics, "nonclassicality report", (*_STATE_OPTIONS, "--number"),
                 ("--family",)),
     "autocorr": (cmd_autocorr, "Gazeau-Klauder autocorrelation trace",
-                 ("--J", "--tau", ("--gamma", dict(default=0.0)), "--omega", "--nmax",
-                  "--tmax", "--points", "--nbar"), ("--J", "--tau", "--tmax", "--points")),
+                 ("--J", "--tau", "--omega", "--nmax", "--tmax", "--points", "--nbar"),
+                 ("--J", "--tau", "--tmax", "--points")),
     "entropy-scan": (cmd_entropy_scan, "beam-splitter entropy scan", (
         ("--family", dict(choices=[name for name, spec in states.FAMILIES.items()
                                    if spec.scannable])),

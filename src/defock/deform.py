@@ -30,7 +30,6 @@ __all__ = [
     "Deformation",
     "SpectrumCoeffs",
     "f_squared",
-    "log_rho",
     "log_rho_table",
     "log_f_factorial_table",
     "dimensionless_e",
@@ -65,7 +64,7 @@ class Deformation:
                     f"tau={self.tau} is outside the perturbative regime; "
                     "first-order closed forms will be inaccurate",
                     PerturbativeRegimeWarning,
-                    stacklevel=_stacklevel_outside(__file__, Deformation.__init__.__code__),
+                    stacklevel=_stacklevel_outside(Deformation.__init__.__code__),
                 )
         if self.kind == "q" and not 0.0 < self.q <= 1.0:
             raise ValidationError(f"q must lie in (0, 1], got {self.q}")
@@ -114,13 +113,6 @@ def f_squared(d: Deformation, n):
     else:
         out = np.ones_like(n_arr)
     return float(out) if out.ndim == 0 else out
-
-
-def log_rho(d: Deformation, n: int) -> float:
-    """log rho_n where rho_n = n! f^2(n)! (equivalently [n]_q! when kind='q')."""
-    if n < 0:
-        raise ValidationError("log_rho needs n >= 0")
-    return float(log_rho_table(d, n + 1)[n])
 
 
 @lru_cache(maxsize=128)

@@ -4,7 +4,10 @@ The CLI maps these onto its exit-code contract, so library code should
 raise the most specific class that applies.
 """
 
+import os
 import sys
+
+_PACKAGE = os.path.dirname(__file__)
 
 
 class DefockError(Exception):
@@ -46,16 +49,18 @@ class PerturbativeRegimeWarning(UserWarning):
     first-order closed forms are quantitatively reliable."""
 
 
-def _stacklevel_outside(module_file: str, *inside) -> int:
+def _stacklevel_outside(*inside) -> int:
     """The ``stacklevel`` that makes a warning name the first frame outside
-    ``module_file``, counted from the function that calls this and warns.
-    Frames whose code object is one of ``inside`` (a dataclass-generated
-    ``__init__`` has no file of its own) also count as the module's.  The
-    frames between the warning and the caller vary, so the count is not
-    fixed."""
+    the ``defock`` package, counted from the function that calls this and
+    warns.  Frames whose code object is one of ``inside`` (a
+    dataclass-generated ``__init__`` has no file of its own) also count as
+    the package's.  So each warning names the caller's line, and the
+    default filter shows it once there, however many places in the package
+    raise it for one call.  The frames between the warning and the caller
+    vary, so the count is not fixed."""
     level, frame = 1, sys._getframe(1)  # level 1: the function that warns
     while frame.f_back is not None and (
-        frame.f_code.co_filename == module_file
+        os.path.dirname(frame.f_code.co_filename) == _PACKAGE
         or any(frame.f_code is code for code in inside)
     ):
         level, frame = level + 1, frame.f_back

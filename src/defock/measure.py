@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .deform import Deformation, log_rho
+from .deform import Deformation, log_rho_table
 from .errors import QuadratureError, ValidationError
 from .specfun import bessel_k_log, log_gamma
 
@@ -36,8 +36,6 @@ __all__ = [
     "MIN_TAU",
     "MeasureParams",
     "omega",
-    "calibrate",
-    "moment_check",
     "MomentCheck",
     "moment_table",
 ]
@@ -59,7 +57,10 @@ _EPS = sys.float_info.epsilon
 class MeasureParams:
     """The measure density at one tau; mu, beta and norm follow from it.
 
-    A tau below ``MIN_TAU``, or an infinite one, is refused.
+    mu = 1 + 2/tau and beta = 0 make the Mellin transform of the Bessel
+    kernel reproduce Gamma(n+1) Gamma(n+2+2/tau), the n-dependence of
+    rho_n, and norm = 1/Gamma(2 + 2/tau) gives moment(0) = rho_0 = 1.  A
+    tau below ``MIN_TAU``, or an infinite one, is refused.
     """
 
     tau: float
@@ -128,15 +129,6 @@ def _trapezoid(p: MeasureParams, n_top: int) -> tuple[np.ndarray, np.ndarray]:
     return value, rel * value
 
 
-def calibrate(tau: float) -> MeasureParams:
-    """The measure at tau: mu = 1 + 2/tau and beta = 0 make the Mellin
-    transform of the Bessel kernel reproduce Gamma(n+1) Gamma(n+2+2/tau),
-    the n-dependence of rho_n, and norm = 1/Gamma(2 + 2/tau) gives
-    moment(0) = rho_0 = 1.  A tau below ``MIN_TAU`` is refused.
-    """
-    return MeasureParams(tau)
-
-
 @dataclass(frozen=True)
 class MomentCheck:
     """One moment of the measure against rho_n.
@@ -161,15 +153,7 @@ def _log_rho_target(tau: float, n: int) -> float:
     # rho_n that overflows is refused by moment_table, so neither does numpy's
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        return log_rho(Deformation.perturbative_nc(tau), n)
-
-
-def moment_check(n: int, p: MeasureParams) -> MomentCheck:
-    """Compare int_0^inf t^n Omega(t) dt, by the trapezoid rule over the
-    whole half-line, against rho_n."""
-    if n < 0:
-        raise ValidationError("moment order must be >= 0")
-    return moment_table(p, n)[n]
+        return float(log_rho_table(Deformation.perturbative_nc(tau), n + 1)[n])
 
 
 def moment_table(p: MeasureParams, n_top: int) -> list:

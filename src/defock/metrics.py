@@ -282,12 +282,13 @@ def nonclassicality_report(state: FockState, d: Deformation, *,
 # Gazeau-Klauder dynamics
 # ---------------------------------------------------------------------------
 
-def gk_autocorrelation(J: float, gamma: float, tau: float, omega: float,
+def gk_autocorrelation(J: float, tau: float, omega: float,
                        t_grid, n_max: int = 64) -> np.ndarray:
     """|<J,gamma | J,gamma+omega t>|^2 over a time grid.
 
     Equals |sum_n P_n exp(-i e_n omega t)|^2 with P_n the normalized
-    level weights J^n/rho_n; the gamma dependence cancels.  A(0) = 1.
+    level weights J^n/rho_n: the angle gamma cancels, so it is no
+    parameter and the state is built at gamma = 0.  A(0) = 1.
     The sum stops at the first level whose trailing weight sum_{k>=n} P_k
     is at most eps^2 of the total: the dropped levels move A by at most
     twice that, far below one ulp of A.  The grid is evaluated in chunks
@@ -298,7 +299,7 @@ def gk_autocorrelation(J: float, gamma: float, tau: float, omega: float,
     t = np.asarray(t_grid, dtype=float).ravel()
     if t.size and not np.all(np.isfinite(t)):
         raise ValidationError("t_grid must be finite")
-    state = gk_coherent(J, gamma, tau, n_max, basis="bare")
+    state = gk_coherent(J, 0.0, tau, n_max, basis="bare")
     p = np.abs(state.amps) ** 2
     trailing = np.cumsum(p[::-1])[::-1]  # non-increasing in the level
     levels = int(np.count_nonzero(trailing > np.finfo(float).eps ** 2 * trailing[0]))

@@ -88,6 +88,13 @@ TAIL_THRESHOLD = 1e-10
 _NORM_TOL = 1e-12
 _TAIL_PAD = 16
 _RADIUS_MARGIN = 1e-9
+# The largest tau of a minimal-length state.  Up to about 1e149 the square
+# of the spectrum tau n^2 / 2 on the MAX_N_MAX levels of a state (the second
+# moments of the deformed number and ladder operators, the norm of the
+# perturbed-basis dressing) and its product with the squeezed recurrence's
+# values (below 1e120, on the 8 MAX_N_MAX levels a norm sums) stay inside
+# the double range; past it numpy overflows mid-series.
+_MAX_TAU = 1e100
 
 
 # ---------------------------------------------------------------------------
@@ -187,6 +194,13 @@ def _tail_mass(log_w: np.ndarray, n_keep: int) -> float:
             return 1.0
         tail += block_hi * ratio / (1.0 - ratio)
     return tail / (body + tail)
+
+
+def _check_tau(tau):
+    """Reject a minimal-length tau above ``_MAX_TAU`` before any series is built."""
+    if not tau <= _MAX_TAU:
+        raise ValidationError(f"tau must be at most {_MAX_TAU:g} for a minimal-length "
+                              f"state, got {tau!r}")
 
 
 def _check_n_max(n_max):
@@ -313,6 +327,7 @@ def phi_eigenstate(n: int, tau: float, n_max: int = DEFAULT_N_MAX) -> FockState:
     """
     if n < 0:
         raise ValidationError("level index must be >= 0")
+    _check_tau(tau)
     _check_n_max(n_max)
     if n + 4 >= n_max:
         raise ValidationError(
@@ -328,6 +343,7 @@ def phi_eigenstate(n: int, tau: float, n_max: int = DEFAULT_N_MAX) -> FockState:
 def _nlcs_series(alpha: complex, tau: float):
     """``logs`` of the raw nlcs series alpha^n / (sqrt(n!) f(n)!) = alpha^n / sqrt(rho_n)."""
     alpha = complex(alpha)
+    _check_tau(tau)
     d = Deformation.perturbative_nc(tau)
     return lambda w: _power_series_logs(alpha, 0.5 * log_rho_table(d, w))
 
@@ -409,6 +425,7 @@ def _gk_series(J: float, gamma: float | None, tau: float):
     With ``gamma`` None the phases are None: ``_series_norm`` reads log|c_n| only."""
     if J < 0:
         raise ValidationError("J must be >= 0")
+    _check_tau(tau)
     d = Deformation.perturbative_nc(tau)
 
     def logs(w):
@@ -457,23 +474,10 @@ def squeezed_coeffs_recurrence(alpha: complex, zeta: complex,
         raise ValidationError("n_max must be >= 2")
     alpha = complex(alpha)
     zeta = complex(zeta)
-    log_abs = np.empty(n_max)
-    phase = np.empty(n_max, dtype=complex)
-
-    def record(idx, value, offset):
-        mag = abs(value)
-        if mag == 0.0:
-            log_abs[idx] = -math.inf
-            phase[idx] = 1.0
-        else:
-            log_abs[idx] = math.log(mag) + offset
-            phase[idx] = value / mag
-
     f2 = f_squared(deformation, np.arange(n_max)).tolist()
     prev, cur = 1.0 + 0.0j, alpha
     offset = 0.0
-    record(0, prev, offset)
-    record(1, cur, offset)
+    values, offsets = [prev, cur], [0.0, 0.0]
     for n in range(1, n_max - 1):
         nxt = alpha * cur - zeta * n * f2[n] * prev
         prev, cur = cur, nxt
@@ -482,19 +486,19 @@ def squeezed_coeffs_recurrence(alpha: complex, zeta: complex,
             prev /= top
             cur /= top
             offset += math.log(top)
-        record(n + 1, cur, offset)
+        values.append(cur)
+        offsets.append(offset)
+    # one pass over the levels; math.log, not np.log, which differs from
+    # it in the last bit, and Python's complex division, signed zeros included
+    mags = list(map(abs, values))
+    log_abs = np.array([math.log(m) + o if m else -math.inf for m, o in zip(mags, offsets)])
+    phase = np.array([v / m if m else 1.0 for v, m in zip(values, mags)], dtype=complex)
     return log_abs, phase
 
 
-def _squeezed_state_logs(alpha: complex, zeta: complex, d: Deformation,
-                         nmax: int):
-    """(log|c_n|, phase_n) of the squeezed series c_n = I(n) / (sqrt(n!) f(n)!)."""
-    log_abs, phase = squeezed_coeffs_recurrence(alpha, zeta, d, nmax)
-    return log_abs - 0.5 * log_rho_table(d, nmax), phase
-
-
 def _squeezed_series(alpha: complex, zeta: complex, d: Deformation, what: str):
-    """``logs`` of the squeezed series, which converges only for |zeta| < 1.
+    """``logs`` of the squeezed series c_n = I(n) / (sqrt(n!) f(n)!), which
+    converges only for |zeta| < 1.
 
     For f^2 affine in n, and so for the harmonic and nc kernels alike,
     I(n+1) ~ -zeta n f^2(n) I(n-1) at large n, while
@@ -505,7 +509,13 @@ def _squeezed_series(alpha: complex, zeta: complex, d: Deformation, what: str):
         raise DivergenceError(
             f"{what}: |zeta|={abs(zeta):.6g} outside the convergence radius 1"
         )
-    return lambda w: _squeezed_state_logs(alpha, zeta, d, w)
+    _check_tau(d.tau)
+
+    def logs(w):
+        log_abs, phase = squeezed_coeffs_recurrence(alpha, zeta, d, w)
+        return log_abs - 0.5 * log_rho_table(d, w), phase
+
+    return logs
 
 
 def squeezed_normalization(alpha: complex, zeta: complex, d: Deformation) -> float:

@@ -2,8 +2,9 @@
 products and recurrences for q-factorials, the q-exponential, rising
 factorials, Hermite polynomials, Bessel K, f^2(n)!, rho_n, the level
 energies, the summed normalization constants, the terminating Gauss
-2F1 closed form of the squeezed seed, the measure's moments by adaptive
-quadrature, and a reader for the CLI's CSV artifacts.  The library itself
+2F1 closed form of the squeezed seed and its recurrence level by level,
+the measure's moments by adaptive quadrature, and a reader for the CLI's
+CSV artifacts.  The library itself
 reads the cached log tables of ``defock.specfun`` and ``defock.deform``,
 builds the squeezed seed by its recurrence and takes the measure's moments
 by one trapezoid rule on an order recurrence for K; these are the plain
@@ -18,7 +19,13 @@ from pathlib import Path
 import mpmath as mp
 import numpy as np
 
-from defock.deform import Deformation, dimensionless_e, log_f_factorial_table, log_rho
+from defock.deform import (
+    Deformation,
+    dimensionless_e,
+    f_squared,
+    log_f_factorial_table,
+    log_rho_table,
+)
 from defock.errors import DivergenceError, ValidationError
 from defock.fock_io import ScanTable
 from defock.specfun import bessel_k_log
@@ -145,7 +152,7 @@ def f_factorial_squared(d: Deformation, n: int) -> float:
 
 def rho(d: Deformation, n: int) -> float:
     """Moment sequence rho_n of the active deformation; rho_0 = 1."""
-    return math.exp(log_rho(d, n))
+    return math.exp(log_rho_table(d, n + 1)[n])
 
 
 def energy_level(d: Deformation, n: int, omega: float, hbar: float = 1.0) -> float:
@@ -232,6 +239,43 @@ def gauss_2f1_terminating(n: int, b: complex, c: float, z: float) -> complex:
             term *= (-(n - k)) * (bb + k) * zz / ((cc + k) * (k + 1))
             total += term
         return complex(total)
+
+
+def squeezed_coeffs_per_level(alpha: complex, zeta: complex, deformation: Deformation,
+                              n_max: int) -> tuple:
+    """``(log|I(n)|, phase of I(n))`` by the squeezed recurrence, each level
+    written as it is reached: the loop ``squeezed_coeffs_recurrence`` ran
+    before it took the magnitudes, logs and phases in one pass, kept so
+    that the two can be compared bit for bit."""
+    alpha = complex(alpha)
+    zeta = complex(zeta)
+    log_abs = np.empty(n_max)
+    phase = np.empty(n_max, dtype=complex)
+
+    def record(idx, value, offset):
+        mag = abs(value)
+        if mag == 0.0:
+            log_abs[idx] = -math.inf
+            phase[idx] = 1.0
+        else:
+            log_abs[idx] = math.log(mag) + offset
+            phase[idx] = value / mag
+
+    f2 = f_squared(deformation, np.arange(n_max)).tolist()
+    prev, cur = 1.0 + 0.0j, alpha
+    offset = 0.0
+    record(0, prev, offset)
+    record(1, cur, offset)
+    for n in range(1, n_max - 1):
+        nxt = alpha * cur - zeta * n * f2[n] * prev
+        prev, cur = cur, nxt
+        top = max(abs(prev), abs(cur))
+        if top > 1e120:
+            prev /= top
+            cur /= top
+            offset += math.log(top)
+        record(n + 1, cur, offset)
+    return log_abs, phase
 
 
 def squeezed_coeff_closed_form(alpha: complex, zeta: complex, tau: float,

@@ -24,7 +24,7 @@ from defock.beamsplitter import (
 )
 from defock.deform import Deformation
 from defock.errors import PerturbativeRegimeWarning
-from defock.measure import calibrate, moment_table
+from defock.measure import MeasureParams, moment_table
 from defock.metrics import (
     gk_autocorrelation,
     mandel_q,
@@ -82,7 +82,7 @@ def test_c02_autocorrelation_structure():
     rt = revival_times(J, tau, omega)
     t0 = time.perf_counter()
     t = np.linspace(0.0, 260.0, 10_000)
-    a = gk_autocorrelation(J, 0.0, tau, omega, t)
+    a = gk_autocorrelation(J, tau, omega, t)
     runtime = time.perf_counter() - t0
     assert runtime < 5.0
     assert a[0] == pytest.approx(1.0, abs=1e-12)
@@ -344,7 +344,7 @@ def test_c10_measure_moments():
     t0 = time.perf_counter()
     worst = 0.0
     for tau in (0.1, 0.5, 1.0, 2.0):
-        params = calibrate(tau)
+        params = MeasureParams(tau)
         for chk in moment_table(params, 10):
             if chk.n == 0:
                 assert chk.rel_err <= 1e-10

@@ -652,8 +652,7 @@ _STATE_READS = {"--family", "--tau", "--q", "--alpha-re", "--alpha-im", "--zeta"
 _READS = {
     "state": _STATE_READS,
     "metrics": _STATE_READS | {"--number"},
-    "autocorr": {"--J", "--tau", "--gamma", "--omega", "--nmax", "--tmax", "--points",
-                 "--nbar"},
+    "autocorr": {"--J", "--tau", "--omega", "--nmax", "--tmax", "--points", "--nbar"},
     "entropy-scan": {"--family", "--alphas", "--alpha-max", "--alpha-steps", "--taus",
                      "--zeta", "--theta", "--phi", "--nmax", "--workers"},
     "measure-check": {"--tau", "--moments", "--tol"},
@@ -681,6 +680,9 @@ def test_each_subcommand_reads_its_own_options():
     ["metrics", "--family", "nlcs", "--tau", "0.1", "--deformation", "nc"],
     ["autocorr", "--J", "1.5", "--tau", "0.1", "--tmax", "10", "--points", "11",
      "--hbar", "1000"],
+    # the angle cancels from |<J,gamma|J,gamma+omega t>|^2
+    ["autocorr", "--J", "1.5", "--tau", "0.1", "--tmax", "10", "--points", "11",
+     "--gamma", "1"],
 ])
 def test_an_option_the_subcommand_does_not_read_exits_2(tmp_path, capsys, argv):
     assert run(argv + ["--out", str(tmp_path)]) == 2
@@ -827,8 +829,9 @@ def test_a_required_option_missing_everywhere_exits_2(tmp_path, capsys, argv, co
     (["measure-check", "--tau", "1e-300"], "tau must be >= 0.0125, got 1e-300"),
     (["measure-check", "--tau", "0.5", "--moments", "150"],
      "rho_150 at tau=0.5 exceeds the double range"),
+    # f^2(n) overflowed, and numpy's warnings preceded a nan norm
     (["state", "--family", "nlcs", "--tau", "1e308", "--alpha-re", "1"],
-     "FockState must be unit norm (got |psi|^2 = nan)"),
+     "tau must be at most 1e+100 for a minimal-length state, got 1e+308"),
     # omega t e_n overflowed, and autocorr.csv held nan from t = 2.5e307 on
     (["autocorr", "--J", "1", "--tau", "0.1", "--tmax", "1e308", "--points", "5"],
      "the phases omega t e_n exceed the double range; shorten the time grid"),
@@ -841,13 +844,69 @@ def test_inputs_outside_the_numeric_domain_exit_2(tmp_path, capsys, argv, messag
     assert not any(tmp_path.iterdir())
 
 
-def test_entropy_scan_flags_rows_whose_state_is_nan(tmp_path, capsys):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        assert run(["entropy-scan", "--family", "nlcs", "--alphas", "0.5,1",
-                    "--taus", "1e308", "--out", str(tmp_path)]) == 0
-    assert capsys.readouterr().out == "rows=2 flagged=2\n"
-    assert read_csv(tmp_path / "entropy_scan.csv").column("flag") == ["ValidationError"] * 2
+# One job of each command that builds a minimal-length state, in both bases
+_NC_JOBS = [
+    ["state", "--family", "nlcs", "--alpha-re", "1"],
+    ["state", "--family", "nlcs", "--alpha-re", "1", "--basis", "bare"],
+    ["state", "--family", "gk", "--J", "1"],
+    ["state", "--family", "gk", "--J", "1", "--basis", "bare"],
+    ["state", "--family", "nc-squeezed", "--alpha-re", "1", "--zeta", "0.3"],
+    ["state", "--family", "nc-squeezed", "--alpha-re", "1", "--zeta", "0.3", "--basis", "bare"],
+    ["metrics", "--family", "nlcs", "--alpha-re", "1e52", "--basis", "bare", "--number",
+     "deformed"],
+    ["metrics", "--family", "gk", "--J", "1"],
+    ["autocorr", "--J", "1", "--tmax", "10", "--points", "100"],
+    ["entropy-scan", "--family", "nlcs", "--alphas", "0.5,1"],
+    ["entropy-scan", "--family", "nc-squeezed", "--alphas", "0.5,1", "--zeta", "0.3"],
+]
+
+
+def _run_at_tau(argv, tau, out):
+    """Exit code and numpy's warnings of one _NC_JOBS job at ``tau``."""
+    flag = "--taus" if argv[0] == "entropy-scan" else "--tau"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run(argv + [flag, tau, "--out", str(out)])
+    return code, [w for w in caught if w.category is not defock.PerturbativeRegimeWarning]
+
+
+@pytest.mark.parametrize("tau", ["1e200", "1e308", "1.7976931348623157e308"])
+@pytest.mark.parametrize("argv", _NC_JOBS, ids=" ".join)
+def test_a_tau_past_the_state_range_exits_2_before_any_series(tmp_path, capsys, argv, tau):
+    # numpy overflowed in f^2(n), the dressing or the norm, and its warnings
+    # reached stderr; some of these jobs exited 0, the scan with nan rows
+    assert _run_at_tau(argv, tau, tmp_path) == (2, [])
+    assert capsys.readouterr().err == ("validation error: tau must be at most 1e+100 for a "
+                                       f"minimal-length state, got {float(tau)!r}\n")
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", _NC_JOBS, ids=" ".join)
+def test_a_tau_at_the_state_range_gives_finite_numbers(tmp_path, capsys, argv):
+    assert _run_at_tau(argv, "1e100", tmp_path) == (0, [])
+    text = capsys.readouterr().out + "".join(
+        path.read_text() for path in tmp_path.iterdir() if path.suffix != ".svg")
+    # the scan's S_closed column is nan for every family but nlcs
+    if argv[:3] == ["entropy-scan", "--family", "nc-squeezed"]:
+        text = text.replace(",nan,", ",")
+    assert "nan" not in text and "inf" not in text
+
+
+@pytest.mark.parametrize("argv, count", [
+    (["state", "--family", "nlcs", "--tau", "0.8", "--alpha-re", "1"], 1),
+    (["metrics", "--family", "gk", "--tau", "0.8", "--J", "1"], 1),
+    (["autocorr", "--tau", "0.8", "--J", "1", "--tmax", "10", "--points", "100"], 1),
+    (["entropy-scan", "--family", "nlcs", "--alphas", "1", "--taus", "0.8,0.9"], 2),
+])
+def test_one_perturbative_warning_per_job_and_tau(tmp_path, argv, count):
+    # the CLI and the state builder each made a deformation, and each
+    # warning named its own line in the package, so the default filter
+    # showed both; now both name the caller's line
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("default")
+        assert run(argv + ["--out", str(tmp_path)]) == 0
+    assert [w.category for w in caught] == [defock.PerturbativeRegimeWarning] * count
+    assert all(w.filename == __file__ for w in caught)
 
 
 def test_entropy_scan_of_one_huge_alpha_writes_its_plot(tmp_path):

@@ -9,35 +9,35 @@ from hypothesis import strategies as st
 
 from defock import measure
 from defock.errors import QuadratureError, ValidationError
-from defock.measure import MeasureParams, calibrate, moment_check, moment_table, omega
+from defock.measure import MeasureParams, moment_table, omega
 from oracles import measure_moment_integral
 
 _MEMO_TAUS = [measure.MIN_TAU, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 4.0]
 
 
 def test_calibrate_parameter_identification():
-    assert calibrate(0.1).mu == pytest.approx(21.0, abs=1e-12)
-    assert calibrate(0.1).beta == 0.0
-    assert calibrate(2.0).mu == pytest.approx(2.0, abs=1e-12)
+    assert MeasureParams(0.1).mu == pytest.approx(21.0, abs=1e-12)
+    assert MeasureParams(0.1).beta == 0.0
+    assert MeasureParams(2.0).mu == pytest.approx(2.0, abs=1e-12)
 
 
 def test_zeroth_moment_is_enforced():
-    p = calibrate(0.5)
-    chk = moment_check(0, p)
+    p = MeasureParams(0.5)
+    chk = moment_table(p, 0)[0]
     assert chk.target == pytest.approx(1.0, abs=1e-13)
     assert chk.rel_err <= 1e-10
 
 
 @pytest.mark.parametrize("tau", [0.1, 2.0])
 def test_moments_match_rho(tau):
-    p = calibrate(tau)
+    p = MeasureParams(tau)
     for chk in moment_table(p, 6):
         assert chk.rel_err <= 1e-6, (tau, chk.n, chk.rel_err)
 
 
 def test_omega_against_mpmath_kernel():
     # same formula evaluated with the mpmath Bessel as an independent route
-    p = calibrate(0.1)
+    p = MeasureParams(0.1)
     for t in np.geomspace(1e-8, 1e3, 12).tolist():
         x = 2.0 * math.sqrt(2.0 * t / p.tau)
         with mp.workdps(30):
@@ -54,7 +54,7 @@ def test_omega_against_mpmath_kernel():
 
 @pytest.mark.parametrize("tau", [0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 4.0])
 def test_ten_moments_and_quad_error(tau):
-    for chk in moment_table(calibrate(tau), 10):
+    for chk in moment_table(MeasureParams(tau), 10):
         assert chk.rel_err <= 1e-13, (tau, chk.n, chk.rel_err)
         assert 0.0 <= chk.quad_err <= 1e-8 * chk.computed, (tau, chk.n, chk.quad_err)
 
@@ -64,14 +64,14 @@ def test_prefactor_evaluated_once_per_tau(monkeypatch):
     calls = []
     monkeypatch.setattr(measure, "log_gamma", lambda x: calls.append(x) or math.lgamma(x))
     tau = 0.3125
-    moment_table(calibrate(tau), 10)
+    moment_table(MeasureParams(tau), 10)
     assert calls == [2.0 + 2.0 / tau]
 
 
 @pytest.mark.parametrize("tau", _MEMO_TAUS)
 def test_moment_table_agrees_with_the_adaptive_quadrature(tau):
     # QUADPACK's qagie over u = sqrt(t), with Amos' K, is an independent route
-    for chk in moment_table(calibrate(tau), 10):
+    for chk in moment_table(MeasureParams(tau), 10):
         value, _ = measure_moment_integral(chk.n, tau)
         assert abs(chk.computed - value) <= 1e-12 * value, chk.n
 
@@ -85,7 +85,7 @@ def test_one_bessel_call_per_distinct_node(monkeypatch, tau):
     per_job = []
     for _ in range(2):  # a second job at the same tau reuses nothing of the first
         calls.clear()
-        q = calibrate(tau)
+        q = MeasureParams(tau)
         moment_table(q, 10)
         assert len(calls) == 1
         per_job.append(len(calls[0]))
@@ -121,7 +121,7 @@ def test_moments_within_1e_12_of_the_closed_form_under_their_error_estimate(tau,
     # double (the margin keeps the target's own rounding off that edge)
     logs = _closed_form_log_rho(tau)
     cap = max(n for n, value in enumerate(logs) if value <= math.log(sys.float_info.max) - 1e-9)
-    for chk in moment_table(calibrate(tau), round(share * cap)):
+    for chk in moment_table(MeasureParams(tau), round(share * cap)):
         with mp.workdps(40):
             exact = mp.exp(logs[chk.n])
             err = float(abs(mp.mpf(chk.computed) - exact))
@@ -130,13 +130,13 @@ def test_moments_within_1e_12_of_the_closed_form_under_their_error_estimate(tau,
 
 
 def test_omega_positive_on_log_grid():
-    p = calibrate(0.5)
+    p = MeasureParams(0.5)
     for t in np.geomspace(1e-6, 60.0, 40):
         assert omega(float(t), p) > 0.0
 
 
 def test_omega_limits():
-    p = calibrate(0.5)
+    p = MeasureParams(0.5)
     # exponential Bessel decay: monotone to zero on the far tail
     tail = [omega(t, p) for t in (50.0, 80.0, 120.0, 200.0)]
     assert all(b < a for a, b in zip(tail, tail[1:]))
@@ -148,15 +148,15 @@ def test_omega_limits():
 
 
 def test_domain_errors():
-    p = calibrate(0.5)
+    p = MeasureParams(0.5)
     with pytest.raises(ValidationError):
         omega(0.0, p)
     with pytest.raises(ValidationError):
         omega(-1.0, p)
     with pytest.raises(ValidationError):
-        calibrate(0.0)
+        MeasureParams(0.0)
     with pytest.raises(ValidationError):
-        moment_check(-1, p)
+        moment_table(p, -1)
     # tau is the one field; mu, beta and norm follow from it
     with pytest.raises(ValidationError, match="tau must be >= 0.0125"):
         MeasureParams(tau=0.01)
@@ -177,26 +177,24 @@ def test_tau_below_the_floor_refused_before_any_quadrature(monkeypatch):
     monkeypatch.setattr(measure, "bessel_k_log", _no_quadrature)
     for tau in (measure.MIN_TAU * (1.0 - 1e-12), 0.01, 1e-300, 0.0, -1.0, math.nan):
         with pytest.raises(ValidationError, match="tau must be >= 0.0125"):
-            calibrate(tau)
+            MeasureParams(tau)
     with pytest.raises(ValidationError, match="tau must be finite"):
-        calibrate(math.inf)
+        MeasureParams(math.inf)
 
 
 def test_tau_at_the_floor_calibrates():
-    checks = moment_table(calibrate(measure.MIN_TAU), 10)
+    checks = moment_table(MeasureParams(measure.MIN_TAU), 10)
     assert max(chk.rel_err for chk in checks) < 1e-12
 
 
 @pytest.mark.parametrize("tau, top", [(0.5, 112), (4.0, 90)])
 def test_moment_past_the_double_range_refused_before_any_quadrature(monkeypatch, tau, top):
     # rho_n leaves the double range from n = top + 1 on
-    p = calibrate(tau)
+    p = MeasureParams(tau)
     monkeypatch.setattr(measure, "_trapezoid", _no_quadrature)
     for n_top in (top + 1, 170, 171, 10**12):
         with pytest.raises(ValidationError, match=f"rho_{n_top} at tau={tau!r} exceeds"):
             moment_table(p, n_top)
-        with pytest.raises(ValidationError, match=f"rho_{n_top} at tau={tau!r} exceeds"):
-            moment_check(n_top, p)
     with pytest.raises(AssertionError, match="quadrature ran"):
         moment_table(p, top)
 
@@ -206,10 +204,10 @@ def test_overflow_in_the_quadrature_is_a_quadrature_error(monkeypatch):
     real = measure.bessel_k_log
     monkeypatch.setattr(measure, "bessel_k_log", lambda nu, x: real(nu, x) + 1000.0)
     with pytest.raises(QuadratureError, match=r"left the double range \(n=0\)"):
-        moment_check(0, calibrate(0.5))
+        moment_table(MeasureParams(0.5), 0)
     monkeypatch.setattr(measure, "bessel_k_log", real)
     # the adaptive quadrature summed moment 143 at tau 0.05 (2.07e307) to
     # inf; the rule has it, and moment 144 is refused before it runs
-    assert moment_check(143, calibrate(0.05)).rel_err < 1e-12
+    assert moment_table(MeasureParams(0.05), 143)[143].rel_err < 1e-12
     with pytest.raises(ValidationError, match="rho_144 at tau=0.05 exceeds"):
-        moment_check(144, calibrate(0.05))
+        moment_table(MeasureParams(0.05), 144)

@@ -343,6 +343,34 @@ def test_no_public_parameter_goes_unread():
     assert unread == []
 
 
+def test_no_public_function_is_an_alias():
+    # a public function whose body only hands its own parameters on to
+    # another public name is a second name for one value
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in sorted(Path(defock.__file__).parent.glob("*.py"))}
+    public = {node.name for tree in trees.values() for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name[0] != "_"}
+    aliases = []
+    for module, tree in trees.items():
+        for fn in tree.body:
+            if not isinstance(fn, ast.FunctionDef) or fn.name[0] == "_":
+                continue
+            body = fn.body[1:] if ast.get_docstring(fn) is not None else fn.body
+            if len(body) != 1 or not isinstance(body[0], ast.Return) \
+                    or not isinstance(body[0].value, ast.Call):
+                continue
+            call = body[0].value
+            callee = call.func.id if isinstance(call.func, ast.Name) else \
+                getattr(call.func, "attr", None)
+            passed = [*call.args, *(keyword.value for keyword in call.keywords)]
+            params = [arg.arg for arg in (*fn.args.posonlyargs, *fn.args.args,
+                                          *fn.args.kwonlyargs)]
+            if callee in public - {fn.name} and all(isinstance(v, ast.Name) for v in passed) \
+                    and sorted(v.id for v in passed) == sorted(params):
+                aliases.append(f"{module}.{fn.name}")
+    assert aliases == []
+
+
 # ---------------------------------------------------------------- log gamma
 
 def test_log_gamma_examples():

@@ -1,6 +1,7 @@
 import cmath
 import math
 import time
+import warnings
 from types import SimpleNamespace
 
 import mpmath as mp
@@ -44,6 +45,7 @@ from oracles import (
     f_factorial_squared,
     q_exponential,
     squeezed_coeff_closed_form,
+    squeezed_coeffs_per_level,
     summed_norm,
 )
 
@@ -152,6 +154,20 @@ def test_n_max_bound():
 def test_phi_eigenstate_range_error():
     with pytest.raises(ValidationError):
         phi_eigenstate(61, 0.1, n_max=64)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: phi_eigenstate(2, 1e200),
+    lambda: nlcs_normalization(1.0, 1e308),
+    lambda: gk_normalization(1.0, 1e308),
+    lambda: squeezed_normalization(1.0, 0.3, Deformation("nc", tau=1e306)),
+], ids=["phi_eigenstate", "nlcs_normalization", "gk_normalization", "squeezed_normalization"])
+def test_a_tau_past_the_state_range_is_refused_before_numpy_overflows(build):
+    # the norm of the dressing, or f^2(n) itself, overflowed with numpy's warnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValidationError, match=r"^tau must be at most 1e\+100 "):
+            build()
 
 
 # --------------------------------------------------------------------- nlcs
@@ -462,6 +478,25 @@ def test_recurrence_large_n_rescaling():
     assert np.max(np.abs(np.abs(phase) - 1.0)) < 1e-12
 
 
+@settings(database=None, derandomize=True, deadline=None, max_examples=400)
+@given(alpha=st.complex_numbers(max_magnitude=4.0) | st.floats(-4.0, 4.0).map(complex),
+       zeta=st.complex_numbers(max_magnitude=1.2) | st.floats(-1.2, 1.2).map(complex),
+       tau=st.none() | st.floats(min_value=0.0, max_value=0.5),
+       n_max=st.integers(min_value=2, max_value=1100))
+@example(alpha=0j, zeta=0.5 + 0.2j, tau=0.1, n_max=40)
+@example(alpha=1.5 - 0.5j, zeta=0j, tau=None, n_max=40)
+@example(alpha=0j, zeta=0j, tau=0.3, n_max=2)
+@example(alpha=2.0 + 0j, zeta=0.9 + 0j, tau=0.5, n_max=1100)  # rescales past 1e120
+def test_recurrence_bit_equal_to_the_per_level_loop(alpha, zeta, tau, n_max):
+    d = HARMONIC if tau is None else Deformation.perturbative_nc(tau)
+    got = squeezed_coeffs_recurrence(alpha, zeta, d, n_max)
+    want = squeezed_coeffs_per_level(alpha, zeta, d, n_max)
+    # bit patterns, so that a signed zero or the last bit of a log shows
+    assert got[0].view(np.uint64).tolist() == want[0].view(np.uint64).tolist()
+    assert got[1].view(np.float64).view(np.uint64).tolist() == \
+        want[1].view(np.float64).view(np.uint64).tolist()
+
+
 # ------------------------------------------------------------ squeezed states
 
 def test_nc_squeezed_zeta_zero_is_nlcs():
@@ -534,7 +569,7 @@ def test_ho_squeezed_outside_radius_fails_before_any_build(monkeypatch, zeta):
     def no_build(*args):
         raise AssertionError("the squeezed recurrence ran")
 
-    monkeypatch.setattr(states, "_squeezed_state_logs", no_build)
+    monkeypatch.setattr(states, "squeezed_coeffs_recurrence", no_build)
     with pytest.raises(DivergenceError, match=r"\|zeta\|=.* convergence radius 1"):
         ho_squeezed(1.0, zeta)
 
@@ -558,9 +593,9 @@ def test_nc_squeezed_outside_radius_fails_before_any_build(monkeypatch, zeta, ta
 @pytest.mark.parametrize("zeta", [0.9, 1.1])
 def test_nc_squeezed_coefficient_ratio_tends_to_zeta(tau, zeta):
     # |c_{n+1} / c_{n-1}| -> |zeta| for f^2 affine in n, so the radius is 1
-    from defock.states import _squeezed_state_logs
-
-    log_c = _squeezed_state_logs(1.0, zeta, Deformation.perturbative_nc(tau), 4002)[0]
+    d = Deformation.perturbative_nc(tau)
+    # log|c_n| = log|I(n)| - log rho_n / 2, the series past the radius as well
+    log_c = squeezed_coeffs_recurrence(1.0, zeta, d, 4002)[0] - 0.5 * log_rho_table(d, 4002)
     # geometric mean of the two-level ratio over levels 3980 .. 4000
     ratio = math.exp((log_c[4001] - log_c[3981]) / 10.0)
     assert ratio == pytest.approx(zeta, abs=0.005)
