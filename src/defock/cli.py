@@ -214,8 +214,8 @@ def cmd_autocorr(args) -> int:
         raise ValidationError("need --points >= 3 and --tmax > 0")
     if args.points > MAX_GRID_POINTS:
         raise ValidationError(f"--points must be at most {MAX_GRID_POINTS}, got {args.points}")
-    t = np.linspace(0.0, args.tmax, args.points)
-    a = metrics.gk_autocorrelation(args.J, args.tau, args.omega, t, n_max=args.nmax)
+    t, a = metrics.gk_autocorrelation(args.J, args.tau, args.omega, args.tmax, args.points,
+                                      n_max=args.nmax)
     times = metrics.revival_times(args.J, args.tau, args.omega, nbar=args.nbar)
     table = fock_io.ScanTable(
         columns=["t", "A"],

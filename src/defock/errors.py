@@ -56,12 +56,15 @@ def _stacklevel_outside(*inside) -> int:
     dataclass-generated ``__init__`` has no file of its own) also count as
     the package's.  So each warning names the caller's line, and the
     default filter shows it once there, however many places in the package
-    raise it for one call.  The frames between the warning and the caller
-    vary, so the count is not fixed."""
+    raise it for one call.  The walk also stops at the outermost frame of
+    the ``__main__`` module: under ``python -m defock.cli`` that module is
+    ``cli.py``, and the frames past it are ``runpy``'s.  The frames
+    between the warning and the caller vary, so the count is not fixed."""
     level, frame = 1, sys._getframe(1)  # level 1: the function that warns
     while frame.f_back is not None and (
         os.path.dirname(frame.f_code.co_filename) == _PACKAGE
         or any(frame.f_code is code for code in inside)
-    ):
+    ) and not (frame.f_globals.get("__name__") == "__main__"
+               and frame.f_back.f_globals.get("__name__") != "__main__"):
         level, frame = level + 1, frame.f_back
     return level

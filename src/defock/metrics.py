@@ -57,8 +57,6 @@ __all__ = [
 
 _BOUNDARY_TOL = 1e-12
 _DEGENERATE_TOL = 1e-14
-# rows of the (points x n_max) phase matrix built at once: 4 MB at n_max 64
-_AUTOCORR_CHUNK = 4096
 
 
 def ladder_weights(d: Deformation, n_max: int) -> np.ndarray:
@@ -282,40 +280,62 @@ def nonclassicality_report(state: FockState, d: Deformation, *,
 # Gazeau-Klauder dynamics
 # ---------------------------------------------------------------------------
 
-def gk_autocorrelation(J: float, tau: float, omega: float,
-                       t_grid, n_max: int = 64) -> np.ndarray:
-    """|<J,gamma | J,gamma+omega t>|^2 over a time grid.
+def gk_autocorrelation(J: float, tau: float, omega: float, tmax: float,
+                       points: int, n_max: int = 64) -> tuple[np.ndarray, np.ndarray]:
+    """``(t, A)``: |<J,gamma | J,gamma+omega t>|^2 on the uniform grid
+    ``t = np.linspace(0, tmax, points)``.
 
-    Equals |sum_n P_n exp(-i e_n omega t)|^2 with P_n the normalized
+    A(t) = |sum_n P_n exp(-i e_n omega t)|^2 with P_n the normalized
     level weights J^n/rho_n: the angle gamma cancels, so it is no
     parameter and the state is built at gamma = 0.  A(0) = 1.
     The sum stops at the first level whose trailing weight sum_{k>=n} P_k
     is at most eps^2 of the total: the dropped levels move A by at most
-    twice that, far below one ulp of A.  The grid is evaluated in chunks
-    of ``_AUTOCORR_CHUNK`` points, so the working set stays bounded for
-    any grid size.  A grid on which some phase omega t e_n leaves the
-    double range is refused.
+    twice that, far below one ulp of A.
+
+    On the grid t_k = k h, write k = j B + r with B = isqrt(points) + 1.
+    Then exp(-i omega e_n t_k) = exp(-i omega e_n t_{jB}) exp(-i omega e_n r h),
+    so two tables of about sqrt(points) rows by the levels, and one
+    complex matrix product over the levels, give every amplitude: about
+    2 sqrt(points) exponentials per level instead of points, and a
+    working set of O(points + sqrt(points) levels).  The split moves A
+    by a few ulps of the phases against one exponential per point.  A
+    grid on which some phase that the tables form leaves the double
+    range is refused, as are a non-finite or non-positive ``tmax`` and
+    fewer than 2 points.
     """
-    t = np.asarray(t_grid, dtype=float).ravel()
-    if t.size and not np.all(np.isfinite(t)):
-        raise ValidationError("t_grid must be finite")
+    if not (0.0 < tmax < math.inf):
+        raise ValidationError(f"tmax must be finite and > 0, got {tmax!r}")
+    if points < 2:
+        raise ValidationError(f"points must be >= 2, got {points!r}")
     state = gk_coherent(J, 0.0, tau, n_max, basis="bare")
     p = np.abs(state.amps) ** 2
     trailing = np.cumsum(p[::-1])[::-1]  # non-increasing in the level
     levels = int(np.count_nonzero(trailing > np.finfo(float).eps ** 2 * trailing[0]))
-    p = p[:levels]
     e = dimensionless_e(Deformation.perturbative_nc(tau), np.arange(levels))
-    # the loop's largest |omega t e_n|, as rounding is monotone, in Python
-    # floats, which overflow to inf without a warning; exp(-i inf) is NaN
-    top = float(np.max(np.abs(t), initial=0.0)) * float(np.max(np.abs(e)))
+    return _lattice_autocorrelation(p[:levels], e, omega, tmax, points)
+
+
+def _lattice_autocorrelation(p: np.ndarray, e: np.ndarray, omega: float, tmax: float,
+                             points: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(t, |sum_n p_n exp(-i omega e_n t_k)|^2)`` on ``t = np.linspace(0, tmax,
+    points)``, by the block split of :func:`gk_autocorrelation`."""
+    t = np.linspace(0.0, tmax, points)
+    block = math.isqrt(points) + 1
+    coarse = t[::block]                                    # t_{jB}, from the grid
+    fine = np.arange(block) * (tmax / (points - 1))        # r h, with linspace's step
+    # the largest |omega x e_n| over the times x of both tables, as rounding
+    # is monotone, in Python floats, which overflow to inf without a warning;
+    # exp(-i inf) is NaN.  At 2 points the fine table holds the largest x
+    top = max(float(coarse[-1]), float(fine[-1])) * float(np.max(np.abs(e)))
     if not math.isfinite(abs(omega) * top):
         raise ValidationError("the phases omega t e_n exceed the double range; "
                               "shorten the time grid")
-    z = np.empty(t.shape, dtype=complex)
-    for lo in range(0, t.size, _AUTOCORR_CHUNK):
-        hi = lo + _AUTOCORR_CHUNK
-        z[lo:hi] = np.exp(-1j * omega * np.outer(t[lo:hi], e)) @ p
-    return np.abs(z) ** 2
+    outer = p * np.exp(-1j * omega * np.outer(coarse, e))
+    inner = np.exp(-1j * omega * np.outer(fine, e))
+    # numpy's own loop, not BLAS: OpenBLAS runs even this small product on
+    # two threads, and the second spins on for the rest of the job
+    z = np.einsum("jn,rn->jr", outer, inner, optimize=False).ravel()[:points]
+    return t, np.abs(z) ** 2
 
 
 def detect_peaks(t: np.ndarray, a: np.ndarray, min_height: float = 0.2) -> np.ndarray:

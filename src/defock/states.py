@@ -468,7 +468,10 @@ def squeezed_coeffs_recurrence(alpha: complex, zeta: complex,
 
     I(0) = 1, I(1) = alpha, I(n+1) = alpha I(n) - zeta n f^2(n) I(n-1).
     Values are rescaled in place whenever they threaten the double range,
-    with the accumulated log-scale folded into the returned logs.
+    with the accumulated log-scale folded into the returned logs.  A step
+    that overflows even so (|alpha| above about 1e154) raises
+    ``TruncationError`` naming its level: such a state needs far more
+    levels than any truncation holds.
     """
     if n_max < 2:
         raise ValidationError("n_max must be >= 2")
@@ -488,6 +491,11 @@ def squeezed_coeffs_recurrence(alpha: complex, zeta: complex,
             offset += math.log(top)
         values.append(cur)
         offsets.append(offset)
+    # an overflow leaves NaN in cur, and every later value is NaN
+    if not math.isfinite(abs(cur)):
+        level = next(n for n, v in enumerate(values) if not math.isfinite(abs(v)))
+        raise TruncationError(f"the squeezed coefficient series overflows the double "
+                              f"range at level {level} (|alpha| = {abs(alpha):.3g})")
     # one pass over the levels; math.log, not np.log, which differs from
     # it in the last bit, and Python's complex division, signed zeros included
     mags = list(map(abs, values))

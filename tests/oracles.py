@@ -3,12 +3,14 @@ products and recurrences for q-factorials, the q-exponential, rising
 factorials, Hermite polynomials, Bessel K, f^2(n)!, rho_n, the level
 energies, the summed normalization constants, the terminating Gauss
 2F1 closed form of the squeezed seed and its recurrence level by level,
-the measure's moments by adaptive quadrature, and a reader for the CLI's
-CSV artifacts.  The library itself
+the measure's moments by adaptive quadrature, the Gazeau-Klauder
+autocorrelation with one exponential per time and level and in mpmath,
+and a reader for the CLI's CSV artifacts.  The library itself
 reads the cached log tables of ``defock.specfun`` and ``defock.deform``,
-builds the squeezed seed by its recurrence and takes the measure's moments
-by one trapezoid rule on an order recurrence for K; these are the plain
-forms the tests check those against."""
+builds the squeezed seed by its recurrence, takes the measure's moments
+by one trapezoid rule on an order recurrence for K and splits the
+autocorrelation's phases into two tables; these are the plain forms the
+tests check those against."""
 
 import cmath
 import itertools
@@ -29,7 +31,7 @@ from defock.deform import (
 from defock.errors import DivergenceError, ValidationError
 from defock.fock_io import ScanTable
 from defock.specfun import bessel_k_log
-from defock.states import _RADIUS_MARGIN
+from defock.states import _RADIUS_MARGIN, gk_coherent
 
 _LOG_DBL_MAX = math.log(np.finfo(float).max)
 
@@ -339,6 +341,39 @@ def measure_moment_integral(n: int, tau: float) -> tuple:
         return math.exp(logv) if logv > -745.0 else 0.0
 
     return quad(integrand, 0.0, math.inf, limit=300, epsabs=0.0, epsrel=1e-10)
+
+
+def gk_level_weights(J: float, tau: float, n_max: int = 64) -> tuple:
+    """``(P_n, e_n)`` as doubles over all ``n_max`` levels of the bare
+    Gazeau-Klauder state of J: the inputs of the autocorrelation."""
+    state = gk_coherent(J, 0.0, tau, n_max, basis="bare")
+    p = np.abs(state.amps) ** 2
+    return p, dimensionless_e(Deformation.perturbative_nc(tau), np.arange(n_max))
+
+
+def gk_autocorrelation_pointwise(J: float, tau: float, omega: float, t) -> np.ndarray:
+    """A(t) on any grid with one complex exponential per time and level, as
+    the library evaluated it before it split the phases: the same level
+    cutoff, then |exp(-i omega outer(t, e)) @ P|^2."""
+    p, e = gk_level_weights(J, tau)
+    trailing = np.cumsum(p[::-1])[::-1]
+    levels = int(np.count_nonzero(trailing > np.finfo(float).eps ** 2 * trailing[0]))
+    t = np.asarray(t, dtype=float)
+    return np.abs(np.exp(-1j * omega * np.outer(t, e[:levels])) @ p[:levels]) ** 2
+
+
+def gk_autocorrelation_mp(J: float, tau: float, omega: float, t, dps: int = 40) -> np.ndarray:
+    """A(t) = |sum_n P_n exp(-i omega e_n t)|^2 summed in mpmath at ``dps``
+    digits, from the double P_n, e_n, omega and t: the error of a double
+    evaluation of that same sum, free of the level cutoff's 2 eps^2."""
+    p, e = gk_level_weights(J, tau)
+    keep = p > 0.0
+    with mp.workdps(dps):
+        terms = [(mp.mpf(float(pn)), mp.mpf(omega) * mp.mpf(float(en)))
+                 for pn, en in zip(p[keep], e[keep])]
+        return np.array([float(abs(mp.fsum(pn * mp.expj(-w * mp.mpf(float(tk)))
+                                           for pn, w in terms)) ** 2)
+                         for tk in np.asarray(t, dtype=float)])
 
 
 def read_csv(path) -> ScanTable:

@@ -81,8 +81,7 @@ def test_c02_autocorrelation_structure():
     J, tau, omega = 1.5, 0.1, 0.5
     rt = revival_times(J, tau, omega)
     t0 = time.perf_counter()
-    t = np.linspace(0.0, 260.0, 10_000)
-    a = gk_autocorrelation(J, tau, omega, t)
+    t, a = gk_autocorrelation(J, tau, omega, 260.0, 10_000)
     runtime = time.perf_counter() - t0
     assert runtime < 5.0
     assert a[0] == pytest.approx(1.0, abs=1e-12)

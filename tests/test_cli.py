@@ -1,5 +1,6 @@
 import argparse
 import json
+import os
 import shlex
 import subprocess
 import sys
@@ -82,6 +83,17 @@ def test_nc_squeezed_outside_radius_exit_3(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "divergence error: nc_squeezed: |zeta|=1.5 outside the convergence radius 1\n"
     )
+
+
+@pytest.mark.parametrize("family", [["ho-squeezed"], ["nc-squeezed", "--tau", "0.1"]])
+def test_squeezed_overflow_exit_3_names_its_level(tmp_path, capsys, family):
+    # alpha I(1) overflowed, and its NaN was reported as "tail mass nan"
+    assert run(["state", "--family", *family, "--alpha-re", "1e200", "--zeta", "0.5",
+                "--out", str(tmp_path)]) == 3
+    assert capsys.readouterr().err == (
+        "truncation error: the squeezed coefficient series overflows the double range "
+        "at level 2 (|alpha| = 1e+200)\n")
+    assert not any(tmp_path.iterdir())
 
 
 def _printed_norm_const(capsys):
@@ -907,6 +919,22 @@ def test_one_perturbative_warning_per_job_and_tau(tmp_path, argv, count):
         assert run(argv + ["--out", str(tmp_path)]) == 0
     assert [w.category for w in caught] == [defock.PerturbativeRegimeWarning] * count
     assert all(w.filename == __file__ for w in caught)
+
+
+def test_python_m_warning_names_cli_py(tmp_path):
+    # under python -m, cli.py is __main__ and the walk out of the package
+    # ran on into runpy: the warning named <frozen runpy>:88, with no source
+    src = str(Path(defock.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-m", "defock.cli", "state", "--family", "nlcs", "--tau", "0.8",
+         "--alpha-re", "1", "--out", str(tmp_path)],
+        capture_output=True, text=True, timeout=120, cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": src, "PYTHONWARNINGS": "default"})
+    assert done.returncode == 0
+    warned = [line for line in done.stderr.splitlines() if "PerturbativeRegimeWarning" in line]
+    assert len(warned) == 1
+    assert warned[0].startswith(str(Path(src) / "defock" / "cli.py") + ":")
+    assert "runpy" not in done.stderr
 
 
 def test_entropy_scan_of_one_huge_alpha_writes_its_plot(tmp_path):

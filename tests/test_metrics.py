@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from defock import metrics
-from defock.deform import Deformation, dimensionless_e
+from defock.deform import Deformation
 from defock.errors import DegenerateStateError, TruncationError, ValidationError
 from defock.metrics import (
     NonclassicalityReport,
@@ -357,8 +357,8 @@ def test_bad_report_refused_when_built(var_y, var_z, gur_rhs):
 # ----------------------------------------------------------- autocorrelation
 
 def test_autocorrelation_basics():
-    t = np.linspace(0.0, 300.0, 4001)
-    a = gk_autocorrelation(1.5, 0.1, 0.5, t)
+    t, a = gk_autocorrelation(1.5, 0.1, 0.5, 300.0, 4001)
+    assert np.array_equal(t, np.linspace(0.0, 300.0, 4001))
     assert a[0] == pytest.approx(1.0, abs=1e-12)
     assert np.all(a <= 1.0 + 1e-9)
     assert np.all(a >= 0.0)
@@ -366,88 +366,124 @@ def test_autocorrelation_basics():
 
 def test_autocorrelation_full_revival_at_half_t_rev():
     rt = revival_times(1.5, 0.1, 0.5)
-    val = gk_autocorrelation(1.5, 0.1, 0.5, [rt.t_rev / 2.0, rt.t_rev])
-    assert val[0] == pytest.approx(1.0, abs=1e-9)
+    t, val = gk_autocorrelation(1.5, 0.1, 0.5, rt.t_rev, 3)
+    assert t[1] == rt.t_rev / 2.0 and t[2] == rt.t_rev
     assert val[1] == pytest.approx(1.0, abs=1e-9)
+    assert val[2] == pytest.approx(1.0, abs=1e-9)
 
 
-def test_autocorrelation_chunks_match_unchunked_formula():
-    t = np.linspace(0.0, 200.0, 3 * metrics._AUTOCORR_CHUNK + 17)
-    a = gk_autocorrelation(1.5, 0.1, 0.5, t)
-    state = gk_coherent(1.5, 0.0, 0.1, 64, basis="bare")
-    p = np.abs(state.amps) ** 2
-    e = dimensionless_e(Deformation.perturbative_nc(0.1), np.arange(state.n_max))
-    ref = np.abs(np.exp(-1j * 0.5 * np.outer(t, e)) @ p) ** 2
-    assert np.max(np.abs(a - ref)) <= 1e-15
+# the catalog's autocorr jobs of seeds 1-3, and the second figure's J 6, tau 0.01
+_AUTOCORR_JOBS = [
+    (1.0614, 0.2, 0.6075, 113.7696, 10_000),
+    (2.2217, 0.4, 0.7799, 44.3102, 10_000),
+    (0.7105, 0.25, 0.4979, 111.0505, 10_000),
+    (2.5754, 0.1, 0.5692, 242.8497, 10_000),
+    (0.6383, 0.25, 0.5441, 101.6211, 10_000),
+    (2.8048, 0.4, 0.5507, 62.7520, 10_000),
+    (6.0, 0.01, 0.5, 50.0, 401),
+]
+
+
+@pytest.mark.parametrize("J, tau, omega, tmax, points", _AUTOCORR_JOBS)
+def test_autocorrelation_matches_an_mpmath_sum(J, tau, omega, tmax, points):
+    from oracles import gk_autocorrelation_mp, gk_autocorrelation_pointwise
+
+    t, a = gk_autocorrelation(J, tau, omega, tmax, points)
+    block = math.isqrt(points) + 1
+    edges = [k for j in (1, 2, points // block) for k in (j * block - 1, j * block)]
+    rng = np.random.default_rng(points)
+    idx = np.unique(np.concatenate([[0, 1, points - 2, points - 1], edges,
+                                    rng.integers(0, points, 40)]))
+    ref = gk_autocorrelation_mp(J, tau, omega, t[idx])
+    err = np.max(np.abs(a[idx] - ref))
+    err_pointwise = np.max(np.abs(gk_autocorrelation_pointwise(J, tau, omega, t[idx]) - ref))
+    assert err <= 1e-13
+    assert err <= 4.0 * err_pointwise
+    assert abs(a[0] - 1.0) <= 1e-15
+
+
+@pytest.mark.parametrize("points", [2, 3, 100**2 - 1, 100**2, 100**2 + 1, 10_000 + 17])
+def test_autocorrelation_grid_tails(points):
+    # the blocks of isqrt(points) + 1 rows overrun the grid, and the last
+    # block is cut; every point, the last ones too, is one of the grid
+    from oracles import gk_autocorrelation_pointwise
+
+    t, a = gk_autocorrelation(1.5, 0.1, 0.5, 200.0, points)
+    assert np.array_equal(t, np.linspace(0.0, 200.0, points))
+    assert a.shape == (points,)
+    assert np.max(np.abs(a - gk_autocorrelation_pointwise(1.5, 0.1, 0.5, t))) <= 1e-13
 
 
 def test_autocorrelation_memory_bounded():
-    # unchunked, 2e5 points x 64 levels of complex128 is ~200 MB per array
-    t = np.linspace(0.0, 100.0, 200_000)
+    # one phase matrix of 2e5 points x 64 levels of complex128 is ~200 MB
     tracemalloc.start()
     try:
-        gk_autocorrelation(1.5, 0.1, 0.5, t)
+        gk_autocorrelation(1.5, 0.1, 0.5, 100.0, 200_000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20
 
 
-def test_autocorrelation_validation():
+@pytest.mark.parametrize("tmax, points", [
+    (math.nan, 11), (-1.0, 11), (0.0, 11), (math.inf, 11), (10.0, 1), (10.0, 0),
+])
+def test_autocorrelation_validation(tmax, points):
     with pytest.raises(ValidationError):
-        gk_autocorrelation(1.5, 0.1, 0.5, [0.0, math.nan])
+        gk_autocorrelation(1.5, 0.1, 0.5, tmax, points)
 
 
-def _refused(t):
+def _refused(tmax, points):
     try:
-        gk_autocorrelation(1.0, 0.1, 0.5, t)
+        gk_autocorrelation(1.0, 0.1, 0.5, tmax, points)
     except ValidationError:
         return True
     return False
 
 
-def test_autocorrelation_refuses_phases_past_the_double_range():
+@pytest.mark.parametrize("points", [2, 3, 10])
+def test_autocorrelation_refuses_phases_past_the_double_range(points):
     # omega t e_n overflowed to inf, and exp made NaN amplitudes of it
-    for grid in ([0.0, 1e308], [-1e308, 0.0], np.linspace(0.0, 1e308, 5)):
-        with pytest.raises(ValidationError, match="double range"):
-            gk_autocorrelation(1.0, 0.1, 0.5, grid)
-    # the check is tight: bisect the bits of the largest time that passes
+    with pytest.raises(ValidationError, match="double range"):
+        gk_autocorrelation(1.0, 0.1, 0.5, 1e308, points)
+    # the check is tight: bisect the bits of the largest tmax that passes
     def as_float(bits):
         return float(np.int64(bits).view(np.float64))
 
     lo, hi = (int(bits) for bits in np.array([1e300, 1e308]).view(np.int64))
-    assert not _refused([as_float(lo)]) and _refused([as_float(hi)])
+    assert not _refused(as_float(lo), points) and _refused(as_float(hi), points)
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        lo, hi = (lo, mid) if _refused([as_float(mid)]) else (mid, hi)
+        lo, hi = (lo, mid) if _refused(as_float(mid), points) else (mid, hi)
     top = as_float(lo)
-    a = gk_autocorrelation(1.0, 0.1, 0.5, [0.0, top / 2, top])
+    _, a = gk_autocorrelation(1.0, 0.1, 0.5, top, points)
     assert np.all(np.isfinite(a)) and a[0] == pytest.approx(1.0, abs=1e-12)
-    assert _refused([-np.nextafter(top, math.inf)])
+    assert _refused(np.nextafter(top, math.inf), points)
 
 
 def test_fractional_revival_structure():
     # small deformation, large J: partial reconstructions at p/q of the
-    # revival time with heights ~1/q, full reconstruction at t_rev/2
+    # revival time with heights ~1/q, full reconstruction at t_rev/2.
+    # One grid over the windows, at their spacing of 0.06 t_rev / 1500
     J, tau, omega = 6.0, 0.01, 0.5
     rt = revival_times(J, tau, omega)
+    t, a = gk_autocorrelation(J, tau, omega, 0.53 * rt.t_rev, 13_251)
     heights = {}
     for frac in (0.25, 1.0 / 3.0, 0.5):
         center = frac * rt.t_rev
-        t = np.linspace(center - 0.03 * rt.t_rev, center + 0.03 * rt.t_rev, 1501)
-        a = gk_autocorrelation(J, tau, omega, t)
-        heights[frac] = float(a.max())
+        window = np.abs(t - center) <= 0.03 * rt.t_rev
+        heights[frac] = float(a[window].max())
     assert heights[0.5] == pytest.approx(1.0, abs=1e-6)
     assert heights[0.25] == pytest.approx(0.5, abs=0.05)
     assert heights[1.0 / 3.0] == pytest.approx(1.0 / 3.0, abs=0.05)
 
 
-def gk_autocorrelation_full(J, tau, omega, t):
-    """All 64 levels in one phase matrix; reference only."""
-    state = gk_coherent(J, 0.0, tau, 64, basis="bare")
-    p = np.abs(state.amps) ** 2
-    e = dimensionless_e(Deformation.perturbative_nc(tau), np.arange(state.n_max))
-    return np.abs(np.exp(-1j * omega * np.outer(t, e)) @ p) ** 2
+def gk_autocorrelation_full(J, tau, omega, tmax, points):
+    """The same block-split kernel over all 64 levels; reference only."""
+    from oracles import gk_level_weights
+
+    p, e = gk_level_weights(J, tau)
+    return metrics._lattice_autocorrelation(p, e, omega, tmax, points)[1]
 
 
 @pytest.mark.parametrize("J", [0.5, 1.5, 3.0])
@@ -455,9 +491,9 @@ def gk_autocorrelation_full(J, tau, omega, t):
 def test_autocorrelation_level_cutoff_matches_all_levels(J, tau):
     omega = 0.6
     t_rev = 2.0 * math.pi / (omega * tau / 2.0)
-    t = np.linspace(0.0, 1.1 * t_rev, 10_000)
-    a = gk_autocorrelation(J, tau, omega, t)
-    assert np.max(np.abs(a - gk_autocorrelation_full(J, tau, omega, t))) <= 1e-15
+    _, a = gk_autocorrelation(J, tau, omega, 1.1 * t_rev, 10_000)
+    full = gk_autocorrelation_full(J, tau, omega, 1.1 * t_rev, 10_000)
+    assert np.max(np.abs(a - full)) <= 1e-15
     assert abs(a[0] - 1.0) <= 1e-15
 
 

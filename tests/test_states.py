@@ -435,6 +435,16 @@ def test_recurrence_trivial_cases():
     assert i2 == pytest.approx(0.75, rel=1e-13)
 
 
+def test_recurrence_overflow_names_its_level():
+    # I(2) = alpha^2 - zeta overflows past |alpha| = 1.34e154, before any
+    # rescale; its NaN went on into the logs
+    log_abs, _ = squeezed_coeffs_recurrence(1.3e154, 0.5, HARMONIC, 8)
+    assert np.all(np.isfinite(log_abs))
+    for d in (HARMONIC, Deformation.perturbative_nc(0.1)):
+        with pytest.raises(TruncationError, match="overflows the double range at level 2 "):
+            squeezed_coeffs_recurrence(1.4e154j, 0.5, d, 8)
+
+
 def test_closed_form_trivial():
     assert squeezed_coeff_closed_form(1.0, 0.25, 0.1, 0) == pytest.approx(1.0, abs=1e-12)
     assert squeezed_coeff_closed_form(1.0, 0.25, 0.1, 1) == pytest.approx(
