@@ -148,13 +148,14 @@ def write_svg_lineplot(table: ScanTable, x_col: str, y_cols, path,
         ys = ys if ys.size else np.array([0.0, 1.0])
     x_lo, x_hi = float(xs.min()), float(xs.max())
     y_lo, y_hi = float(ys.min()), float(ys.max())
-    if x_lo == x_hi:
-        x_lo, x_hi = _widen(x_lo, x_hi)
-    if y_hi - y_lo <= _FLAT_SPAN * max(abs(y_lo), abs(y_hi)):
-        y_lo, y_hi = _widen(y_lo, y_hi)
+    flat = y_hi - y_lo <= _FLAT_SPAN * max(abs(y_lo), abs(y_hi))
     # Spans are taken on halves, so that hi - lo may exceed the double range.
     # Halving is exact for normal doubles, so every other plot keeps its bytes
-    # (0.08 is 2 * 0.04 in binary too).
+    # (0.08 is 2 * 0.04 in binary too).  A zero half-span (one value, or a
+    # range a subnormal wide) would be divided by, so that axis is widened too;
+    # the y pad only widens, so it keeps the y half-span above 0.
+    (x_lo, x_hi), (y_lo, y_hi) = (_widen(lo, hi) if widen or hi / 2 - lo / 2 == 0 else (lo, hi)
+                                  for lo, hi, widen in ((x_lo, x_hi, False), (y_lo, y_hi, flat)))
     pad = 0.08 * (y_hi / 2 - y_lo / 2)
     y_lo, y_hi = max(y_lo - pad, -sys.float_info.max), min(y_hi + pad, sys.float_info.max)
     x_half, y_half = x_hi / 2 - x_lo / 2, y_hi / 2 - y_lo / 2

@@ -147,22 +147,19 @@ class MomentCheck:
         return abs(self.computed - self.target) / abs(self.target)
 
 
-def _log_rho_target(tau: float, n: int) -> float:
-    # the moment identity is exact in tau, so the perturbative-regime
-    # warning attached to the deformation object does not apply here, and a
-    # rho_n that overflows is refused by moment_table, so neither does numpy's
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return float(log_rho_table(Deformation.perturbative_nc(tau), n + 1)[n])
-
-
 def moment_table(p: MeasureParams, n_top: int) -> list:
     """Moment checks for n = 0 .. n_top, on one set of nodes; an n_top whose
     rho_n leaves the double range is refused before any node is evaluated."""
     if n_top < 0:
         raise ValidationError("n_top must be >= 0")
-    if n_top > _MAX_MOMENT or _log_rho_target(p.tau, n_top) > _LOG_MAX:
+    # the moment identity is exact in tau, so the perturbative-regime
+    # warning attached to the deformation object does not apply here, and a
+    # rho_n that overflows is refused below, so neither does numpy's
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        log_rho = log_rho_table(Deformation.perturbative_nc(p.tau), min(n_top, _MAX_MOMENT) + 1)
+    if n_top > _MAX_MOMENT or log_rho[n_top] > _LOG_MAX:
         raise ValidationError(f"rho_{n_top} at tau={p.tau!r} exceeds the double range")
     values, errors = _trapezoid(p, n_top)
-    return [MomentCheck(n=n, computed=float(values[n]), target=math.exp(_log_rho_target(p.tau, n)),
+    return [MomentCheck(n=n, computed=float(values[n]), target=math.exp(log_rho[n]),
                         quad_err=float(errors[n])) for n in range(n_top + 1)]

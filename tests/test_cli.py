@@ -971,9 +971,9 @@ def test_readme_commands_run(tmp_path):
 # The sizes that set an example's cost are capped: --points at 50,
 # --alpha-steps at 5 and --moments at 3.
 _REALS = ("nan", "inf", "-inf", "1e308", "-1e308", "1.7976931348623157e308", "1e-300", "0",
-          "-1", "x1", "0.5")
+          "-1", "x1", "0.5", "5e-324", "-5e-324")
 _INTS = ("-1", "0", "1", "513", "1.5", "x1", "3")
-_GRIDS = ("", "1,x", "nan", "1e308", "-1,0.5", "0.5,1")
+_GRIDS = ("", "1,x", "nan", "1e308", "-1,0.5", "0.5,1", "0,5e-324")
 
 
 def _sized(top):
@@ -1056,8 +1056,14 @@ def test_main_never_raises_on_one_changed_option(tmp_path, command):
       "--points", "3"], 0),
     # A + 2 B nbar = 0 at tau 2 and nbar -1
     (["autocorr", "--J", "1", "--tau", "2", "--nbar=-1", "--tmax", "1", "--points", "3"], 2),
+    # the plot's x half-span tmax/2 rounded to 0 and divided the SVG writer by it
+    (["autocorr", "--J", "1.5", "--tau", "0.1", "--omega", "0.5", "--tmax", "5e-324",
+      "--points", "10"], 0),
+    (["entropy-scan", "--family", "glauber", "--alphas", "0,5e-324"], 0),
 ])
 def test_extreme_finite_inputs_exit_with_a_code(tmp_path, argv, code):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         assert run(argv + ["--out", str(tmp_path)]) == code
+    if code == 0:  # both artifacts are written
+        assert sorted(path.suffix for path in tmp_path.iterdir()) == [".csv", ".svg"]

@@ -341,6 +341,19 @@ def test_svg_constant_axis_past_2_53_keeps_a_range(tmp_path, value):
     assert lo < hi and math.isfinite(lo) and math.isfinite(hi)
 
 
+@pytest.mark.parametrize("lo, hi", [(0.0, 5e-324), (-5e-324, 0.0), (-5e-324, 5e-324)])
+def test_svg_subnormal_span_drawn_like_a_constant(tmp_path, lo, hi):
+    # hi/2 - lo/2 rounds to 0 here, which the scale divided by; such an axis
+    # is widened like a constant one, and draws the same bytes as 0
+    for axis in (0, 1):
+        span, zero = [[0.25, 0.5], [0.75, 0.5]], [[0.25, 0.5], [0.75, 0.5]]
+        span[0][axis], span[1][axis] = lo, hi
+        zero[0][axis] = zero[1][axis] = 0.0
+        write_svg_lineplot(ScanTable(["x", "y"], span), "x", ["y"], tmp_path / "span.svg")
+        write_svg_lineplot(ScanTable(["x", "y"], zero), "x", ["y"], tmp_path / "zero.svg")
+        assert (tmp_path / "span.svg").read_bytes() == (tmp_path / "zero.svg").read_bytes()
+
+
 # the last tick of (-1.8e308, 0.5) is 0: 0.5 is far below one ulp of the span
 @pytest.mark.parametrize("lo, hi, last", [
     (-1e308, 1e308, "1e+308"), (-1.7976931348623157e308, 0.5, "0"),

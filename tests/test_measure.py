@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from defock import measure
+from defock.deform import Deformation, log_rho_table
 from defock.errors import QuadratureError, ValidationError
 from defock.measure import MeasureParams, moment_table, omega
 from oracles import measure_moment_integral
@@ -66,6 +68,33 @@ def test_prefactor_evaluated_once_per_tau(monkeypatch):
     tau = 0.3125
     moment_table(MeasureParams(tau), 10)
     assert calls == [2.0 + 2.0 / tau]
+
+
+def test_one_rho_table_and_one_deformation_per_moment_table(monkeypatch):
+    # every target, and the overflow refusal, reads one table of n_top + 1 entries
+    tables, built = [], []
+    monkeypatch.setattr(measure, "log_rho_table",
+                        lambda d, n: tables.append((d, n)) or log_rho_table(d, n))
+    init = Deformation.__post_init__
+    monkeypatch.setattr(Deformation, "__post_init__", lambda d: built.append(d) or init(d))
+    for tau in (0.3125, 4.0):  # 4 is past the perturbative limit, which warns
+        tables.clear()
+        built.clear()
+        moment_table(MeasureParams(tau), 10)
+        assert len(built) == 1
+        assert tables == [(Deformation("nc", tau=tau), 11)]
+
+
+@pytest.mark.parametrize("tau", [measure.MIN_TAU, 0.05, 0.5, 1.0, 4.0, 1e6])
+def test_targets_bit_equal_to_one_table_per_moment(tau):
+    # the one table's entries equal the last entry of a table per n, as cumsum
+    # runs in order; up to the last rho_n that fits a double
+    d = Deformation("nc", tau=tau)
+    top = max(n for n, value in enumerate(log_rho_table(d, 171)) if value <= measure._LOG_MAX)
+    checks = moment_table(MeasureParams(tau), top)
+    assert [chk.n for chk in checks] == list(range(top + 1))
+    for chk in checks:
+        assert chk.target == math.exp(log_rho_table(d, chk.n + 1)[chk.n]), chk.n
 
 
 @pytest.mark.parametrize("tau", _MEMO_TAUS)
@@ -197,6 +226,25 @@ def test_moment_past_the_double_range_refused_before_any_quadrature(monkeypatch,
             moment_table(p, n_top)
     with pytest.raises(AssertionError, match="quadrature ran"):
         moment_table(p, top)
+
+
+@pytest.mark.parametrize("n_top", [171, 10**9])
+def test_moment_past_the_table_cap_refused_without_a_long_table(monkeypatch, n_top):
+    # the table stops at the cap, n = 170, however large n_top is
+    p = MeasureParams(0.5)
+    monkeypatch.setattr(measure, "_trapezoid", _no_quadrature)
+    lengths = []
+    monkeypatch.setattr(measure, "log_rho_table",
+                        lambda d, n: lengths.append(n) or log_rho_table(d, n))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match=rf"^rho_{n_top} at tau=0.5 exceeds the double range$"):
+            moment_table(p, n_top)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert max(lengths, default=1) <= 171
+    assert peak < 64 * 1024, peak
 
 
 def test_overflow_in_the_quadrature_is_a_quadrature_error(monkeypatch):
