@@ -17,6 +17,8 @@ contraction.  The independent references are
 from __future__ import annotations
 
 import cmath
+import contextlib
+import ctypes
 import functools
 import math
 import warnings
@@ -191,11 +193,38 @@ def _unit_transform(c: np.ndarray, t: float, r) -> tuple[np.ndarray, float]:
     return out, norm_sq
 
 
+def _openblas_threads():
+    """(get, set) for the thread count of numpy's bundled OpenBLAS, or None;
+    dlsym on numpy's linalg module also searches the libraries it links."""
+    lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    names = ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+             "openblas_get_num_threads")
+    pairs = ((getattr(lib, g, None), getattr(lib, g.replace("get", "set"), None)) for g in names)
+    return next((pair for pair in pairs if all(pair)), None)
+
+
+_OPENBLAS = _openblas_threads()
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the body on one OpenBLAS thread; give the caller's count back after."""
+    saved = _OPENBLAS and _OPENBLAS[0]()
+    if saved:
+        _OPENBLAS[1](1)
+    try:
+        yield
+    finally:
+        if saved:
+            _OPENBLAS[1](saved)
+
+
 def _leading_gram(a: np.ndarray) -> np.ndarray:
     """a a^H for a nonzero a, computed on the leading block of a that holds
     all its nonzero entries and written into a zeroed square array.  Real a
     gives the symmetric rank-k product: ``conj`` of a real array is the
-    array itself."""
+    array itself.  The product runs on one OpenBLAS thread, then the
+    caller's count is restored; under another BLAS it runs unchanged."""
     if a[-1].any() and a[:, -1].any():  # full support, found in O(n)
         p, s = a.shape
     else:
@@ -203,7 +232,8 @@ def _leading_gram(a: np.ndarray) -> np.ndarray:
         s = int(np.flatnonzero(a.any(axis=0))[-1]) + 1
     out = np.zeros((a.shape[0], a.shape[0]), dtype=a.dtype)
     block = a[:p, :s]
-    out[:p, :p] = block @ block.conj().T
+    with _one_blas_thread():
+        out[:p, :p] = block @ block.conj().T
     return out
 
 

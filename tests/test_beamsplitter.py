@@ -1,5 +1,9 @@
+import ctypes
 import math
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -7,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import defock
 from defock import beamsplitter
 from defock.beamsplitter import (
     BeamSplitter,
@@ -726,3 +731,165 @@ def test_n_max_at_bound_still_runs():
     row = dict(zip(table.columns, table.rows[0]))
     assert row["flag"] == ""
     assert row["S_direct"] == pytest.approx(row["S_closed"], abs=1e-9)
+
+
+# ---------------------------------------------- the Gram on one OpenBLAS thread
+
+needs_openblas = pytest.mark.skipif(
+    beamsplitter._OPENBLAS is None,
+    reason="numpy's BLAS has no OpenBLAS thread-count symbol: there is no count to check")
+
+
+@pytest.fixture
+def blas_count():
+    """(get, set) of the OpenBLAS thread count, or None under another BLAS;
+    the count before the test is put back after it."""
+    pair = beamsplitter._OPENBLAS
+    saved = pair and pair[0]()
+    yield pair
+    if saved:
+        pair[1](saved)
+
+
+class _ProductProbe(np.ndarray):
+    """An array whose ``@`` records the OpenBLAS thread count it runs at,
+    then computes the product, or raises if ``fail`` is set."""
+
+    counts: list = []
+    fail = False
+
+    def __matmul__(self, other):
+        _ProductProbe.counts.append(beamsplitter._OPENBLAS[0]())
+        if _ProductProbe.fail:
+            raise RuntimeError("product failed")
+        return np.asarray(self) @ np.asarray(other)
+
+
+def _gram_unpinned(a):
+    """_leading_gram's block product as plain numpy runs it; reference only."""
+    p = int(np.flatnonzero(a.any(axis=1))[-1]) + 1
+    s = int(np.flatnonzero(a.any(axis=0))[-1]) + 1
+    out = np.zeros((a.shape[0], a.shape[0]), dtype=a.dtype)
+    out[:p, :p] = a[:p, :s] @ a[:p, :s].conj().T
+    return out
+
+
+def _random_transform(n_max, dtype, levels):
+    rng = np.random.default_rng(7)
+    c = rng.standard_normal(n_max)
+    if dtype is complex:
+        c = c + 1j * rng.standard_normal(n_max)
+    c[levels:] = 0.0
+    return beamsplitter._unit_transform(c / np.linalg.norm(c), FIFTY.t, FIFTY.r)[0]
+
+
+@needs_openblas
+@pytest.mark.parametrize("caller", [1, 2])
+def test_gram_runs_on_one_thread_and_restores_the_callers_count(blas_count, monkeypatch,
+                                                                caller):
+    get, set_ = blas_count
+    set_(caller)
+    caller = get()
+    monkeypatch.setattr(_ProductProbe, "counts", [])
+    m = _random_transform(64, float, 64)
+    gram = beamsplitter._leading_gram(m.view(_ProductProbe))
+    assert _ProductProbe.counts == [1] and get() == caller
+    assert np.array_equal(gram, _gram_unpinned(m))
+    two = apply_beamsplitter(nc_quiet(1.2, 0.2, 256), FIFTY)
+    for port in ("c", "d"):
+        partial_trace(two, port)
+        assert get() == caller
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        table = entropy_scan("nlcs", [0.5, 2.7], [0.2], n_max=256)
+    assert get() == caller
+    assert all(row[-1] == "" for row in table.rows)
+
+
+@needs_openblas
+@pytest.mark.parametrize("caller", [1, 2])
+def test_count_restored_when_the_product_raises(blas_count, monkeypatch, caller):
+    get, set_ = blas_count
+    set_(caller)
+    caller = get()
+    monkeypatch.setattr(_ProductProbe, "counts", [])
+    monkeypatch.setattr(_ProductProbe, "fail", True)
+    with pytest.raises(RuntimeError, match="product failed"):
+        beamsplitter._leading_gram(_random_transform(64, complex, 64).view(_ProductProbe))
+    assert _ProductProbe.counts == [1] and get() == caller
+
+
+@needs_openblas
+@pytest.mark.parametrize("caller", [None, 3])
+def test_importing_the_cli_leaves_the_thread_count_alone(caller):
+    # a fresh interpreter: this one has imported defock already
+    src = str(Path(defock.__file__).resolve().parent.parent)
+    probe = (
+        "import ctypes, sys\n"
+        "import numpy\n"
+        "lib = ctypes.CDLL(numpy.linalg._umath_linalg.__file__)\n"
+        "names = ('scipy_openblas_get_num_threads64_', 'openblas_get_num_threads64_',\n"
+        "         'openblas_get_num_threads')\n"
+        "get = next(getattr(lib, g) for g in names if hasattr(lib, g))\n"
+        "set_ = getattr(lib, get.__name__.replace('get', 'set'))\n"
+        f"if {caller!r}:\n"
+        f"    set_({caller!r})\n"
+        "before = get()\n"
+        f"sys.path.insert(0, {src!r})\n"
+        "import defock.cli\n"
+        "print(before, get(), 'defock.beamsplitter' in sys.modules)\n"
+    )
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          check=True, timeout=120)
+    before, after, loaded = done.stdout.split()
+    assert after == before and loaded == "True"
+    if caller:
+        assert before == str(caller)
+
+
+@pytest.mark.parametrize("n_max", [64, 256])
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("support", ["full", "trimmed"])
+def test_pinned_gram_bit_equal_to_the_unpinned_product(blas_count, n_max, dtype, support):
+    if blas_count:
+        blas_count[1](2)
+    levels = n_max if support == "full" else n_max // 4
+    m = _random_transform(n_max, dtype, levels)
+    full = bool(m[-1].any() and m[:, -1].any())
+    assert full == (support == "full") and m.dtype == dtype
+    assert np.array_equal(beamsplitter._leading_gram(m), _gram_unpinned(m))
+
+
+@needs_openblas
+def test_pinned_gram_is_the_one_thread_product_where_two_threads_round_apart(blas_count):
+    # the real n_max 256 Gram of an nlcs scan point: OpenBLAS at two threads
+    # rounds 8 of its 122^2 entries differently, by an ulp each, so the pin
+    # gives the one-thread product, within the dot-product rounding bound
+    # of the two-thread one, whatever the caller's count
+    get, set_ = blas_count
+    m, _ = beamsplitter._unit_transform(nc_quiet(2.7, 0.2, 256).amps, FIFTY.t, FIFTY.r)
+    set_(1)
+    one = _gram_unpinned(m)
+    set_(2)
+    two = _gram_unpinned(m)
+    pinned = beamsplitter._leading_gram(m)
+    assert np.array_equal(pinned, one) and get() == 2
+    k = int(np.flatnonzero(m.any(axis=0))[-1]) + 1
+    norms = np.sqrt(np.diag(two))
+    assert np.all(np.abs(pinned - two) <= 2 * k * np.finfo(float).eps * np.outer(norms, norms))
+
+
+def test_gram_without_openblas_symbols_runs_the_product_as_is(monkeypatch):
+    monkeypatch.setattr(ctypes, "CDLL", lambda path: SimpleNamespace())
+    assert beamsplitter._openblas_threads() is None
+    m = _random_transform(256, complex, 200)
+    two = apply_beamsplitter(nc_quiet(2.7, 0.2, 256), FIFTY)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        pinned_rows = entropy_scan("nlcs", [0.5, 2.7], [0.2], n_max=256).rows
+        monkeypatch.setattr(beamsplitter, "_OPENBLAS", None)
+        rows = entropy_scan("nlcs", [0.5, 2.7], [0.2], n_max=256).rows
+        rho = partial_trace(two).rho
+    assert np.array_equal(beamsplitter._leading_gram(m), _gram_unpinned(m))
+    assert np.array_equal(rho, _gram_unpinned(two.amps))
+    assert rows == pinned_rows

@@ -371,6 +371,40 @@ def test_no_public_function_is_an_alias():
     assert aliases == []
 
 
+
+def test_every_matrix_product_runs_on_one_blas_thread():
+    # numpy's OpenBLAS runs a matrix product on every core, and on the
+    # library's small products a second thread only busy-waits: each
+    # product sits in a `with _one_blas_thread():` block.  np.vdot and
+    # einsum(..., optimize=False) do not reach a threaded BLAS routine.
+    pinned, loose = [], []
+
+    def is_pin(node):
+        return isinstance(node, ast.With) and any(
+            isinstance(item.context_expr, ast.Call)
+            and getattr(item.context_expr.func, "id", None) == "_one_blas_thread"
+            for item in node.items)
+
+    def is_product(node):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)):
+            return isinstance(node.op, ast.MatMult)
+        if isinstance(node, ast.Call):
+            func = node.func
+            return (getattr(func, "attr", None) or getattr(func, "id", None)) in ("dot", "matmul")
+        return False
+
+    def visit(node, module, inside):
+        for child in ast.iter_child_nodes(node):
+            if is_product(child):
+                (pinned if inside else loose).append(f"{module}:{child.lineno}")
+            visit(child, module, inside or is_pin(child))
+
+    for path in sorted(Path(defock.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem, False)
+    assert loose == []
+    assert pinned  # the scan's Gram
+
+
 # ---------------------------------------------------------------- log gamma
 
 def test_log_gamma_examples():
