@@ -30,7 +30,8 @@ import numpy as np
 from .errors import DefockError, ValidationError, _stacklevel_outside
 from .fock_io import ScanTable
 from .specfun import log_factorial_table
-from .states import FAMILIES, FockState, _check_n_max, _check_tau, nc_coherent_coeffs
+from .states import (FAMILIES, FockState, _check_n_max, _check_tau, _family_options,
+                     nc_coherent_coeffs)
 
 __all__ = [
     "BeamSplitter",
@@ -354,17 +355,13 @@ def linear_entropy_closed_form(alpha: complex, tau: float, bs: BeamSplitter,
 # grid scans
 # ---------------------------------------------------------------------------
 
-def _scan_point(family, alpha, tau, zeta, theta, n_max):
-    # phi is left out: it puts the phase (e^{-i phi})^m on column m of M,
+def _scan_point(family, p, bs, n_max):
+    # bs has phi = 0: phi puts the phase (e^{-i phi})^m on column m of M,
     # and a phase on a column cancels in rho_c = M M^H.  Both routes read
     # port c, so every phi gives the same entropies, and at phi = 0 a real
     # alpha keeps the whole direct route real.  One transform and one Gram
-    # serve both: S_direct is the purity of apply_beamsplitter's unit M, as
-    # partial_trace and linear_entropy compute it, and S_closed rescales
-    # that purity by (|M|_F^2 / sum |c|^2)^2.
-    bs = BeamSplitter(theta=theta)
+    # serve both routes (see the module docstring).
     s_closed = float("nan")
-    p = SimpleNamespace(alpha=alpha, tau=tau, zeta=zeta, basis="perturbed")
     try:
         state = FAMILIES[family].build(p, n_max)
         m, m_sq = _unit_transform(state.amps, bs.t, bs.r)
@@ -378,44 +375,50 @@ def _scan_point(family, alpha, tau, zeta, theta, n_max):
         s_direct = float("nan")
         s_closed = float("nan")
         flag = type(exc).__name__
-    return [float(alpha), float(tau), float(zeta), s_direct, s_closed, flag]
+    return [float(p.alpha), float(p.tau), float(p.zeta), s_direct, s_closed, flag]
 
 
 def entropy_scan(family: str, alpha_grid, tau_grid=None, *,
-                 zeta: float = 0.0, bs: BeamSplitter | None = None,
+                 zeta: float | None = None, bs: BeamSplitter | None = None,
                  n_max: int = 64) -> ScanTable:
     """Linear entropy over an (alpha, tau) grid, one point after another.
 
     ``family`` is a registry family whose parameters fit the grid, spelled
-    with '_' for '-'.  Every grid point is evaluated independently;
-    failures are recorded in the ``flag`` column and never abort the scan.
-    A tau that no minimal-length state takes is refused before the first
-    point.  For the ``nlcs`` family the closed-form value is computed
-    alongside the direct one.
+    with '_' for '-'.  It takes ``tau_grid`` and ``zeta`` (None: not given)
+    as ``state`` takes ``--tau`` and ``--zeta``, and a tau or zeta that it
+    does not read is written as 0.  Every grid point is evaluated
+    independently; failures are recorded in the ``flag`` column and never
+    abort the scan.  A tau that no minimal-length state takes is refused
+    before the first point.  For the ``nlcs`` family the closed-form value
+    is computed alongside the direct one.
     """
     names = {name.replace("-", "_"): name for name, spec in FAMILIES.items() if spec.scannable}
     if family not in names:
         raise ValidationError(f"unknown scan family {family!r}")
     _check_n_max(n_max)
+    options = _family_options(names[family], {"tau": tau_grid, "zeta": zeta},
+                              {"tau": "--taus"})
     alphas = [float(a) for a in np.atleast_1d(alpha_grid)]
-    taus = [float(t) for t in np.atleast_1d(tau_grid)] if tau_grid is not None else [0.0]
+    taus = [float(t) for t in np.atleast_1d(tau_grid)] if "tau" in options else [0.0]
     if not alphas or not taus:
         raise ValidationError("scan grids must be non-empty")
-    if "tau" in FAMILIES[names[family]].requires:
-        for t in taus:
-            _check_tau(t)
+    for t in taus:
+        _check_tau(t)
+    zeta = float(options.get("zeta", 0.0))
     bs = bs or BeamSplitter()
     table = ScanTable(
         columns=["alpha", "tau", "zeta", "S_direct", "S_closed", "flag"],
         provenance={
             "family": family,
-            "zeta": format(float(zeta), ".17g"),
+            "zeta": format(zeta, ".17g"),
             "theta": format(bs.theta, ".17g"),
             "phi": format(bs.phi, ".17g"),
             "n_max": str(int(n_max)),
         },
     )
+    splitter = BeamSplitter(theta=bs.theta)
     for t in taus:
         for a in alphas:
-            table.append(_scan_point(names[family], a, t, float(zeta), bs.theta, int(n_max)))
+            p = SimpleNamespace(**{**options, "alpha": a, "tau": t, "zeta": zeta})
+            table.append(_scan_point(names[family], p, splitter, int(n_max)))
     return table

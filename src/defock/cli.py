@@ -137,19 +137,10 @@ def _family_state(args):
     family's defaults, then build the deformation and the state.  Sets
     ``args.alpha`` for a family that reads alpha; the registry's callables
     read it."""
-    family = args.family
-    spec = states.FAMILIES[family]
-    # a family refuses each family option it neither requires nor defaults
-    for flag in _FAMILY_OPTIONS:
-        option = flag[2:].replace("-", "_")
-        if option in spec.defaults:
-            if getattr(args, option) is None:
-                setattr(args, option, spec.defaults[option])
-        elif option not in spec.requires and getattr(args, option) is not None:
-            raise ValidationError(f"{flag} contradicts family {family}")
-    for option in spec.requires:
-        if getattr(args, option) is None:
-            raise ValidationError(f"--{option} is required for {family}")
+    spec = states.FAMILIES[args.family]
+    options = (flag[2:].replace("-", "_") for flag in _FAMILY_OPTIONS)
+    vars(args).update(states._family_options(
+        args.family, {option: getattr(args, option) for option in options}))
     if "alpha_re" in spec.defaults:
         args.alpha = complex(args.alpha_re, args.alpha_im)
         if math.isinf(math.hypot(args.alpha_re, args.alpha_im)):
@@ -248,11 +239,8 @@ def cmd_entropy_scan(args) -> int:
         alphas = list(np.linspace(0.0, args.alpha_max, args.alpha_steps))
     else:
         raise ValidationError("give --alphas or --alpha-max/--alpha-steps")
-    taus = args.taus or None
-    if "tau" in states.FAMILIES[args.family].requires and not taus:
-        raise ValidationError(f"--taus is required for family {args.family}")
     bs = bsm.BeamSplitter(theta=args.theta, phi=args.phi)
-    table = bsm.entropy_scan(args.family.replace("-", "_"), alphas, taus, zeta=args.zeta,
+    table = bsm.entropy_scan(args.family.replace("-", "_"), alphas, args.taus, zeta=args.zeta,
                              bs=bs, n_max=args.nmax)
     _write(args, "entropy_scan.csv", lambda path: fock_io.write_csv(table, path))
     _write(args, "entropy_scan.svg", lambda path: fock_io.write_svg_lineplot(
@@ -310,7 +298,7 @@ _COMMANDS = {
     "entropy-scan": (cmd_entropy_scan, "beam-splitter entropy scan", (
         ("--family", dict(choices=[name for name, spec in states.FAMILIES.items()
                                    if spec.scannable])),
-        "--alphas", "--alpha-max", "--alpha-steps", "--taus", ("--zeta", dict(default=0.0)),
+        "--alphas", "--alpha-max", "--alpha-steps", "--taus", "--zeta",
         "--theta", "--phi", "--nmax", "--workers"), ("--family",)),
     "measure-check": (cmd_measure_check, "measure moment verification",
                       ("--tau", "--moments", "--tol"), ("--tau",)),

@@ -8,11 +8,11 @@ Two quadrature pairs are offered:
   eigenstates of A (coherent families in the bare representation)
   saturate the Robertson bound identically in this pair.
 * :func:`xp_uncertainty` evaluates the position/momentum pair of the
-  minimal-length oscillator, with the first-order similarity correction
-  x -> x + (tau_check/2)(p^2 x + x p^2) that makes the pair Hermitian
-  under the physical inner product.  This is the pair whose commutator
-  carries the 1 + tau_check p^2 deformation and whose variances show the
-  characteristic asymmetric split.
+  minimal-length oscillator (m = omega = hbar = 1), with the first-order
+  similarity correction x -> x + (tau/2)(p^2 x + x p^2) that makes the pair
+  Hermitian under the physical inner product.  This is the pair whose
+  commutator carries the 1 + tau p^2 deformation and whose variances show
+  the characteristic asymmetric split.
 
 Each diagnostic takes ``(state, d, ...)`` and only the settings it reads:
 a ``direction`` ("lower" or "raise") or a ``number_convention`` ("bare"
@@ -141,19 +141,12 @@ class XPUncertainty:
         return math.sqrt(self.var_x * self.var_p)
 
 
-def xp_uncertainty(state: FockState, tau: float, *, m: float = 1.0,
-                   omega: float = 1.0, hbar: float = 1.0) -> XPUncertainty:
-    """Position/momentum uncertainties of the minimal-length oscillator.
-
-    Uses the first-order similarity-corrected pair
-
-        X = x + (tau_check/2) (p^2 x + x p^2),   P = p,
-
-    with tau_check = tau / (m omega hbar), whose commutator is
-    i hbar (1 + tau_check p^2).  The returned ``rhs`` is the
-    Robertson bound |<[X, P]>|/2 = (hbar/2)(1 + tau_check <p^2>).
-    With m = omega = hbar = 1 the pair is dimensionless with vacuum
-    variances 1/2.
+def xp_uncertainty(state: FockState, tau: float) -> XPUncertainty:
+    """Position/momentum uncertainties of the minimal-length oscillator, in
+    units m = omega = hbar = 1, where the vacuum variances are 1/2: the
+    first-order similarity-corrected pair X = x + (tau/2) (p^2 x + x p^2),
+    P = p, whose commutator is i (1 + tau p^2).  The returned ``rhs`` is the
+    Robertson bound |<[X, P]>|/2 = (1/2)(1 + tau <p^2>).
 
     The state should be in the perturbed-basis representation; six
     levels of boundary headroom are required.
@@ -163,22 +156,19 @@ def xp_uncertainty(state: FockState, tau: float, *, m: float = 1.0,
     amps = state.amps
     if float(np.sum(np.abs(amps[-6:]) ** 2)) > 1e-18:
         raise TruncationError("boundary amplitudes non-negligible; enlarge n_max")
-    n_max = state.n_max
-    w = np.sqrt(np.arange(n_max, dtype=float))  # bare ladder
-    cx = math.sqrt(hbar / (2.0 * m * omega))
-    cp = math.sqrt(m * omega * hbar / 2.0)
-    tau_check = tau / (m * omega * hbar)
+    w = np.sqrt(np.arange(state.n_max, dtype=float))  # bare ladder
+    c = math.sqrt(0.5)
 
     def x_op(v):
-        return cx * (_lower(v, w) + _raise(v, w))
+        return c * (_lower(v, w) + _raise(v, w))
 
     def p_op(v):
-        return 1j * cp * (_raise(v, w) - _lower(v, w))
+        return 1j * c * (_raise(v, w) - _lower(v, w))
 
     def big_x(v):
         xv = x_op(v)
         ppv = p_op(p_op(v))
-        return xv + 0.5 * tau_check * (p_op(p_op(xv)) + x_op(ppv))
+        return xv + 0.5 * tau * (p_op(p_op(xv)) + x_op(ppv))
 
     xv = big_x(amps)
     xxv = big_x(xv)
@@ -190,7 +180,7 @@ def xp_uncertainty(state: FockState, tau: float, *, m: float = 1.0,
     mean_p2 = float(np.vdot(amps, ppv).real)
     var_x = mean_x2 - mean_x**2
     var_p = mean_p2 - mean_p**2
-    rhs = 0.5 * hbar * (1.0 + tau_check * mean_p2)
+    rhs = 0.5 * (1.0 + tau * mean_p2)
     return XPUncertainty(var_x=var_x, var_p=var_p, rhs=rhs)
 
 
@@ -360,7 +350,7 @@ class RevivalTimes:
 
 
 def revival_times(J: float, tau: float, omega: float, *,
-                  nbar: float | None = None, n_max: int = 64) -> RevivalTimes:
+                  nbar: float | None = None) -> RevivalTimes:
     """Classical period and revival time of the quadratic spectrum.
 
     With E_n = hbar omega (A n + B n^2), hbar cancels from the phases
@@ -380,7 +370,7 @@ def revival_times(J: float, tau: float, omega: float, *,
     elif J <= 0:
         raise ValidationError("the mean nbar needs J > 0")
     else:
-        nb = gk_coherent(J, 0.0, tau, n_max, basis="bare").mean_n()
+        nb = gk_coherent(J, 0.0, tau, basis="bare").mean_n()
     t_cl = 2.0 * math.pi / (omega * (sc.A + 2.0 * sc.B * nb))
     # omega B underflows to 0 where 2 pi / (omega B) overflows
     rate = omega * sc.B
@@ -394,17 +384,13 @@ class GKUncertainty:
     closed_form: float
 
 
-def gk_uncertainty_product(J: float, gamma: float, tau: float, *,
-                           m: float = 1.0, omega: float = 0.5,
-                           hbar: float = 1.0, n_max: int = 64) -> GKUncertainty:
-    """Delta X Delta P on a Gazeau-Klauder state.
-
-    ``numeric`` evaluates the similarity-corrected pair on the
-    perturbed-basis state; ``closed_form`` is the first-order result
-    (hbar/2)[1 + (tau/2)(1 + 4 J sin^2 gamma)].  The two agree to
-    second order in tau.
-    """
-    state = gk_coherent(J, gamma, tau, n_max, basis="perturbed")
-    stats = xp_uncertainty(state, tau, m=m, omega=omega, hbar=hbar)
-    closed = 0.5 * hbar * (1.0 + 0.5 * tau * (1.0 + 4.0 * J * math.sin(gamma) ** 2))
+def gk_uncertainty_product(J: float, gamma: float, tau: float) -> GKUncertainty:
+    """Delta X Delta P on a Gazeau-Klauder state, in the units of
+    ``xp_uncertainty`` (m and omega cancel from the product): ``numeric``
+    from the similarity-corrected pair on the perturbed-basis state, and the
+    first-order ``closed_form`` (1/2)[1 + (tau/2)(1 + 4 J sin^2 gamma)],
+    which agrees with it to second order in tau."""
+    state = gk_coherent(J, gamma, tau, basis="perturbed")
+    stats = xp_uncertainty(state, tau)
+    closed = 0.5 * (1.0 + 0.5 * tau * (1.0 + 4.0 * J * math.sin(gamma) ** 2))
     return GKUncertainty(numeric=stats.product, closed_form=closed)

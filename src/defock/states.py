@@ -203,6 +203,12 @@ def _check_tau(tau):
                               f"state, got {tau!r}")
 
 
+def _nc_deformation(tau):
+    """The deformation of ``tau``, after the tau cap, so a refusal never warns."""
+    _check_tau(tau)
+    return Deformation.perturbative_nc(tau)
+
+
 def _check_n_max(n_max):
     """Reject truncations outside 1 .. MAX_N_MAX before anything is allocated."""
     if not 1 <= n_max <= MAX_N_MAX:
@@ -343,8 +349,7 @@ def phi_eigenstate(n: int, tau: float, n_max: int = DEFAULT_N_MAX) -> FockState:
 def _nlcs_series(alpha: complex, tau: float):
     """``logs`` of the raw nlcs series alpha^n / (sqrt(n!) f(n)!) = alpha^n / sqrt(rho_n)."""
     alpha = complex(alpha)
-    _check_tau(tau)
-    d = Deformation.perturbative_nc(tau)
+    d = _nc_deformation(tau)
     return lambda w: _power_series_logs(alpha, 0.5 * log_rho_table(d, w))
 
 
@@ -425,8 +430,7 @@ def _gk_series(J: float, gamma: float | None, tau: float):
     With ``gamma`` None the phases are None: ``_series_norm`` reads log|c_n| only."""
     if J < 0:
         raise ValidationError("J must be >= 0")
-    _check_tau(tau)
-    d = Deformation.perturbative_nc(tau)
+    d = _nc_deformation(tau)
 
     def logs(w):
         n = np.arange(w)
@@ -504,6 +508,11 @@ def squeezed_coeffs_recurrence(alpha: complex, zeta: complex,
     return log_abs, phase
 
 
+def _check_zeta(zeta: complex, what: str):
+    if abs(zeta) >= 1.0:
+        raise DivergenceError(f"{what}: |zeta|={abs(zeta):.6g} outside the convergence radius 1")
+
+
 def _squeezed_series(alpha: complex, zeta: complex, d: Deformation, what: str):
     """``logs`` of the squeezed series c_n = I(n) / (sqrt(n!) f(n)!), which
     converges only for |zeta| < 1.
@@ -513,10 +522,7 @@ def _squeezed_series(alpha: complex, zeta: complex, d: Deformation, what: str):
     sqrt((n+1)!/(n-1)!) f(n+1)!/f(n-1)! ~ n f^2(n); so |c_{n+1}/c_{n-1}|
     tends to |zeta|.
     """
-    if abs(zeta) >= 1.0:
-        raise DivergenceError(
-            f"{what}: |zeta|={abs(zeta):.6g} outside the convergence radius 1"
-        )
+    _check_zeta(zeta, what)
     _check_tau(d.tau)
 
     def logs(w):
@@ -539,7 +545,8 @@ def nc_squeezed(alpha: complex, zeta: complex, tau: float,
     ``zeta=0`` reduces to ``nlcs``; ``tau=0`` reduces to ``ho_squeezed``.
     """
     _check_basis(basis)
-    d = Deformation.perturbative_nc(tau)
+    _check_zeta(zeta, "nc_squeezed")  # as _squeezed_series: zeta, then the tau cap
+    d = _nc_deformation(tau)
     return _build_truncated(
         _squeezed_series(alpha, zeta, d, "nc_squeezed"), n_max,
         f"nc_squeezed(alpha={alpha}, zeta={zeta}, tau={tau}, "
@@ -697,8 +704,7 @@ FAMILIES = {
     "nc-squeezed": Family(
         "nc", ("tau",), {**_ALPHA, "zeta": 0.0, "basis": "perturbed"},
         lambda p, n: nc_squeezed(p.alpha, p.zeta, p.tau, n, basis=p.basis),
-        lambda p: squeezed_normalization(p.alpha, p.zeta,
-                                         Deformation.perturbative_nc(p.tau))),
+        lambda p: squeezed_normalization(p.alpha, p.zeta, _nc_deformation(p.tau))),
     "ho-squeezed": Family(
         "harmonic", (), {**_ALPHA, "zeta": 0.0}, lambda p, n: ho_squeezed(p.alpha, p.zeta, n),
         lambda p: squeezed_normalization(p.alpha, p.zeta, Deformation.harmonic())),
@@ -708,3 +714,19 @@ FAMILIES = {
     "pacs": Family("q", ("q",), {**_ALPHA, "m": 0}, lambda p, n: pacs_q(p.alpha, p.q, p.m, n),
                    lambda p: math.sqrt(pacs_norm_sq(p.alpha, p.q, p.m))),
 }
+
+
+def _family_options(family: str, given: dict, flags: dict | None = None) -> dict:
+    """``given`` (option to value, None where not given) with the defaults of
+    ``family`` filled in.  Refuses, in the order of ``given``, an option the
+    family neither requires nor defaults, then a missing required one; an
+    error spells an option as ``flags`` says, else as ``--name``."""
+    spec = FAMILIES[family]
+    flags = {**{name: "--" + name.replace("_", "-") for name in given}, **(flags or {})}
+    for name, value in given.items():
+        if value is not None and name not in spec.requires and name not in spec.defaults:
+            raise ValidationError(f"{flags[name]} contradicts family {family}")
+    for name in spec.requires:
+        if given.get(name) is None:
+            raise ValidationError(f"{flags[name]} is required for {family}")
+    return {**spec.defaults, **{name: v for name, v in given.items() if v is not None}}

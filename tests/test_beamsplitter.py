@@ -482,13 +482,18 @@ def closed_form_complex(alpha, tau, bs, n_max):
 @pytest.mark.parametrize("family", ["glauber", "nlcs", "nc-squeezed", "ho-squeezed"])
 def test_real_route_matches_complex_route(family, theta, phi, n_max):
     bs = BeamSplitter(theta=theta, phi=phi)
-    alphas, tau, zeta = [0.5, 1.5], 0.2, 0.2
+    spec = FAMILIES[family]
+    # each family is given only the options it reads
+    alphas = [0.5, 1.5]
+    tau = 0.2 if "tau" in spec.requires else 0.0
+    zeta = 0.2 if "zeta" in spec.defaults else 0.0
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        table = entropy_scan(family.replace("-", "_"), alphas, [tau], zeta=zeta,
-                             bs=bs, n_max=n_max)
+        table = entropy_scan(family.replace("-", "_"), alphas, [tau] if tau else None,
+                             zeta=zeta or None, bs=bs, n_max=n_max)
         for alpha, row in zip(alphas, table.rows):
             row = dict(zip(table.columns, row))
+            assert (row["tau"], row["zeta"]) == (tau, zeta)
             p = SimpleNamespace(alpha=alpha, tau=tau, zeta=zeta, basis="perturbed")
             state = FAMILIES[family].build(p, n_max)
             real = partial_trace(apply_beamsplitter(state, BeamSplitter(theta)), "c")
@@ -496,9 +501,9 @@ def test_real_route_matches_complex_route(family, theta, phi, n_max):
             want = 1.0 - float(np.sum(np.abs(reduced_state_complex(state, bs)) ** 2))
             assert abs(row["S_direct"] - want) <= 1e-15
             if family in ("glauber", "nlcs"):
-                tau_cf = tau if family == "nlcs" else 0.0
-                closed = linear_entropy_closed_form(alpha, tau_cf, bs, state.n_max)
-                want = closed_form_complex(alpha, tau_cf, bs, state.n_max)
+                # glauber is nlcs at tau = 0
+                closed = linear_entropy_closed_form(alpha, tau, bs, state.n_max)
+                want = closed_form_complex(alpha, tau, bs, state.n_max)
                 assert abs(closed - want) <= 1e-15
                 if family == "nlcs":
                     assert abs(row["S_closed"] - want) <= 1e-15
@@ -713,6 +718,41 @@ def test_scan_validation():
         entropy_scan("nope", [1.0], [0.1])
     with pytest.raises(ValidationError):
         entropy_scan("nlcs", [], [0.1])
+
+
+@pytest.mark.parametrize("family, tau_grid, zeta, message", [
+    # nlcs used to run at tau = 0 and glauber to write the tau it did not read
+    ("nlcs", None, None, "--taus is required for nlcs"),
+    ("nc_squeezed", None, 0.2, "--taus is required for nc-squeezed"),
+    ("glauber", [0.3], None, "--taus contradicts family glauber"),
+    ("glauber", [0.3], 0.2, "--taus contradicts family glauber"),
+    ("glauber", None, 0.0, "--zeta contradicts family glauber"),
+    ("ho_squeezed", [0.3], 0.2, "--taus contradicts family ho-squeezed"),
+    ("nlcs", [0.3], 0.2, "--zeta contradicts family nlcs"),
+    ("nlcs", [0.3], 0.0, "--zeta contradicts family nlcs"),
+])
+def test_scan_refuses_what_its_family_does_not_read(monkeypatch, family, tau_grid, zeta,
+                                                     message):
+    monkeypatch.setattr(beamsplitter, "_scan_point", None)  # refused before any point
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        entropy_scan(family, [1.0], tau_grid, zeta=zeta)
+
+
+@pytest.mark.parametrize("family, tau_grid, zeta, want", [
+    ("glauber", None, None, (0.0, 0.0)),
+    ("nlcs", [0.3], None, (0.3, 0.0)),
+    ("nc_squeezed", [0.3], None, (0.3, 0.0)),
+    ("nc_squeezed", [0.3], 0.2, (0.3, 0.2)),
+    ("ho_squeezed", None, None, (0.0, 0.0)),
+    ("ho_squeezed", None, 0.2, (0.0, 0.2)),
+])
+def test_scan_writes_0_for_what_its_family_does_not_read(family, tau_grid, zeta, want):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        table = entropy_scan(family, [0.5, 1.0], tau_grid, zeta=zeta, n_max=16)
+    assert [tuple(row[1:3]) for row in table.rows] == [want, want]
+    assert table.provenance["zeta"] == format(want[1], ".17g")
+    assert table.column("flag") == ["", ""]
 
 
 def test_n_max_bound(monkeypatch):

@@ -1,4 +1,5 @@
 import argparse
+import inspect
 import json
 import os
 import shlex
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import defock
+from defock import fock_io, states
 from defock.cli import MAX_GRID_POINTS, build_parser, main
 from defock.states import FockState
 from oracles import read_csv
@@ -608,11 +610,80 @@ def test_entropy_scan_family_contract(tmp_path, capsys):
     for family in ("nlcs", "nc-squeezed"):
         assert run(base + ["--family", family]) == 2
         err = capsys.readouterr().err
-        assert err.splitlines()[0] == f"validation error: --taus is required for family {family}"
+        assert err.splitlines()[0] == f"validation error: --taus is required for {family}"
         assert run(base + ["--family", family, "--taus", "0.1"]) == 0
     for family in ("glauber", "ho-squeezed"):
         assert run(base + ["--family", family]) == 0
     assert capsys.readouterr().err == ""
+    # a tau or zeta that the family does not read is refused, as state refuses it;
+    # these scans exited 0 with rows that named the tau and zeta they did not read
+    for family, extra, flag in (("glauber", ["--taus", "0.2"], "--taus"),
+                                ("glauber", ["--zeta", "0.7"], "--zeta"),
+                                ("glauber", ["--taus", "0.2", "--zeta", "0.7"], "--taus"),
+                                ("ho-squeezed", ["--taus", "0.2"], "--taus"),
+                                ("nlcs", ["--taus", "0.1", "--zeta", "0.3"], "--zeta"),
+                                ("nlcs", ["--taus", "0.1", "--zeta", "0"], "--zeta")):
+        assert run(base + ["--family", family, *extra]) == 2
+        assert capsys.readouterr().err == (f"validation error: {flag} contradicts family "
+                                           f"{family}\n")
+
+
+_SCANNABLE = [name for name, spec in states.FAMILIES.items() if spec.scannable]
+# the tau and zeta options of one run: (state's, entropy-scan's)
+_TAU_ZETA_SETS = [[], [("--tau", "--taus", "0.2")], [("--zeta", "--zeta", "0.3")],
+                  [("--zeta", "--zeta", "0")],
+                  [("--tau", "--taus", "0.2"), ("--zeta", "--zeta", "0.3")],
+                  [("--tau", "--taus", "0.2"), ("--zeta", "--zeta", "0")]]
+
+
+@pytest.mark.parametrize("family", _SCANNABLE)
+def test_entropy_scan_and_state_take_the_same_tau_and_zeta(tmp_path, capsys, monkeypatch,
+                                                           family):
+    # derived from the registry, so that a new scannable family is held to it
+    built, depth = [], [0]
+
+    def recording(name):
+        make = getattr(states, name)
+
+        def wrapper(*args, **kwargs):
+            # the outermost constructor only: ho_squeezed at zeta 0 calls glauber
+            if not depth[0]:
+                bound = inspect.signature(make).bind(*args, **kwargs).arguments
+                built.append((bound.get("tau", 0.0), bound.get("zeta", 0.0)))
+            depth[0] += 1
+            try:
+                return make(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+
+        return wrapper
+
+    for name in ("glauber", "nlcs", "nc_squeezed", "ho_squeezed"):
+        monkeypatch.setattr(states, name, recording(name))
+    for k, given in enumerate(_TAU_ZETA_SETS):
+        state_argv = ["state", "--family", family, "--alpha-re", "0.5", "--nmax", "16"]
+        scan_argv = ["entropy-scan", "--family", family, "--alphas", "0.5,1", "--nmax", "32"]
+        for state_flag, scan_flag, value in given:
+            state_argv += [state_flag, value]
+            scan_argv += [scan_flag, value]
+        state_out, scan_out = tmp_path / f"state{k}", tmp_path / f"scan{k}"
+        state_code = run(state_argv + ["--out", str(state_out)])
+        state_err = capsys.readouterr().err
+        built.clear()
+        scan_code = run(scan_argv + ["--out", str(scan_out)])
+        scan_err = capsys.readouterr().err
+        assert scan_code == state_code, scan_argv
+        if state_code:
+            # the same refusal, in the words of each subcommand's own flag
+            assert scan_err == state_err.replace("--tau ", "--taus "), scan_argv
+            assert not scan_out.exists()
+            continue
+        table = read_csv(scan_out / "entropy_scan.csv")
+        rows = [(row[1], row[2]) for row in table.rows]
+        # each row names the tau and zeta its state was built from: 0 for
+        # the one its family does not read
+        assert rows == built, scan_argv
+        assert table.provenance["zeta"] == fock_io.format_real(rows[0][1])
 
 
 def test_tracer_counts_one_build_per_state_job_and_scan_point(tmp_path):

@@ -197,17 +197,17 @@ def test_xp_harmonic_baseline():
 
 
 def test_xp_uncertainty_dense_matrix_oracle():
-    # rebuild the corrected pair as explicit matrices and compare
-    tau, m, omega, hbar = 0.08, 1.3, 0.6, 1.0
+    # rebuild the corrected pair as explicit matrices, at m = omega = hbar = 1,
+    # and compare
+    tau = 0.08
     state = nlcs(0.9, tau, basis="perturbed")
     n = state.n_max
     a = np.zeros((n, n), dtype=complex)
     a[np.arange(n - 1), np.arange(1, n)] = np.sqrt(np.arange(1, n))
     ad = a.conj().T
-    x = math.sqrt(hbar / (2 * m * omega)) * (a + ad)
-    p = 1j * math.sqrt(m * omega * hbar / 2) * (ad - a)
-    tch = tau / (m * omega * hbar)
-    hx = x + 0.5 * tch * (p @ p @ x + x @ p @ p)
+    x = (a + ad) / math.sqrt(2.0)
+    p = 1j * (ad - a) / math.sqrt(2.0)
+    hx = x + 0.5 * tau * (p @ p @ x + x @ p @ p)
     psi = state.amps
 
     def stat(op):
@@ -217,8 +217,8 @@ def test_xp_uncertainty_dense_matrix_oracle():
 
     var_x = stat(hx)
     var_p = stat(p)
-    rhs = 0.5 * hbar * (1.0 + tch * complex(np.vdot(psi, p @ (p @ psi))).real)
-    got = xp_uncertainty(state, tau, m=m, omega=omega, hbar=hbar)
+    rhs = 0.5 * (1.0 + tau * complex(np.vdot(psi, p @ (p @ psi))).real)
+    got = xp_uncertainty(state, tau)
     assert got.var_x == pytest.approx(var_x, rel=1e-12)
     assert got.var_p == pytest.approx(var_p, rel=1e-12)
     assert got.rhs == pytest.approx(rhs, rel=1e-12)

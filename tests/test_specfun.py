@@ -1,5 +1,8 @@
 import ast
+import importlib
+import inspect
 import math
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -280,9 +283,9 @@ def test_bessel_k_errors():
     assert bessel_k_log(60.0, 1e-4) > 700.0
 
 
-def test_mpmath_imported_only_by_the_bessel_overflow_fallback():
-    # the library has no mpmath at all, not even in the Bessel overflow
-    # fallback it once had; its mpmath oracles live in tests/oracles.py
+def test_the_library_imports_no_mpmath():
+    # not even in the Bessel overflow fallback it once had; its mpmath
+    # oracles live in tests/oracles.py
     found = []
 
     def visit(node, module, where):
@@ -370,6 +373,99 @@ def test_no_public_function_is_an_alias():
                 aliases.append(f"{module}.{fn.name}")
     assert aliases == []
 
+
+# What README lists as gone: names that no longer resolve, and keywords that
+# their function no longer takes.
+_GONE_NAMES = ("CoeffTable", "split_fock", "squeezed_coeff_closed_form",
+               "specfun.gauss_2f1_terminating", "fock_io.state_roundtrip",
+               "metrics.LadderAction", "BeamSplitter.fifty_fifty", "measure.calibrate",
+               "measure.moment_check", "deform.log_rho")
+_GONE_KEYWORDS = (("entropy_scan", "workers"), ("revival_times", "hbar"),
+                  ("partial_trace", "validate"), ("gk_autocorrelation", "gamma"),
+                  *(("gk_uncertainty_product", name) for name in ("m", "omega", "hbar", "n_max")),
+                  *(("xp_uncertainty", name) for name in ("m", "omega", "hbar")),
+                  ("revival_times", "n_max"))
+
+
+def _readme_text():
+    """README outside its fenced blocks, whitespace folded."""
+    text = (Path(defock.__file__).resolve().parents[2] / "README.md").read_text()
+    return " ".join(re.sub(r"```.*?```", "", text, flags=re.S).split())
+
+
+def _resolve(dotted):
+    """The public defock object that a README name such as ``nlcs``,
+    ``measure.omega`` or ``Deformation.perturbative_nc`` names, or None."""
+    modules = {path.stem: importlib.import_module(f"defock.{path.stem}")
+               for path in Path(defock.__file__).parent.glob("*.py") if path.stem[0] != "_"}
+    first, *rest = dotted.split(".")
+    if first in modules:
+        obj = modules[first]
+    else:
+        owners = [m for m in (defock, *modules.values()) if hasattr(m, first)]
+        if first[0] == "_" or not owners:
+            return None
+        obj = getattr(owners[0], first)
+    for name in rest:
+        if name[0] == "_" or not hasattr(obj, name):
+            return None
+        obj = getattr(obj, name)
+    return obj
+
+
+def test_readme_signatures_match_the_library():
+    # a backticked name(...) whose arguments are all parameter names,
+    # name=default, * or ... is a signature: the names it lists exist in
+    # that order with the defaults it states, and one that states a default
+    # or * without ... lists them all, with the * where it is.  Any other
+    # argument makes it an example call, which this does not check.
+    checked, wrong = set(), []
+    for span in re.findall(r"`([^`]+)`", _readme_text()):
+        match = re.fullmatch(r"([A-Za-z]\w*(?:\.\w+)*)\((.*)\)", span)
+        obj = match and _resolve(match[1])
+        if not callable(obj):
+            continue
+        tokens = [t.strip() for t in match[2].split(",")] if match[2].strip() else []
+        parts = [re.fullmatch(r"(\w+)(?:=(.+))?|(\*)|(\.\.\.)", t) for t in tokens]
+        if not all(parts):
+            continue
+        params = inspect.signature(obj).parameters
+        order = list(params)
+        named = [p[1] for p in parts if p[1]]
+        elided = any(p[4] or p[2] == "..." for p in parts)
+        checked.add(match[1])
+        if not set(named) <= set(order) or sorted(named, key=order.index) != named:
+            wrong.append(f"{span}: parameters {order}")
+            continue
+        for p in parts:
+            if p[2] and p[2] != "..." and ast.literal_eval(p[2]) != params[p[1]].default:
+                wrong.append(f"{span}: {p[1]} defaults to {params[p[1]].default!r}")
+            if p[3]:
+                after = next((q[1] for q in parts[parts.index(p) + 1:] if q[1]), None)
+                keyword_only = [n for n, q in params.items() if q.kind is q.KEYWORD_ONLY]
+                if after not in keyword_only[:1]:
+                    wrong.append(f"{span}: keyword-only parameters {keyword_only}")
+        full = []  # the parameter names, with * before the first keyword-only one
+        for name, q in params.items():
+            full += ["*"] * (q.kind is q.KEYWORD_ONLY and "*" not in full) + [name]
+        if any(p[2] or p[3] for p in parts) and not elided \
+                and [p[1] or "*" for p in parts] != full:
+            wrong.append(f"{span}: parameters {full}")
+    assert wrong == []
+    assert {"nlcs", "revival_times", "gk_autocorrelation", "nonclassicality_report",
+            "xp_uncertainty", "gk_uncertainty_product", "BeamSplitter"} <= checked
+
+
+def test_what_readme_lists_as_gone_is_gone():
+    text = _readme_text()
+    for name in _GONE_NAMES:
+        assert re.search(rf"`{re.escape(name)}(\([^`]*\))?`", text), name
+        assert _resolve(name) is None, name
+    for function, keyword in _GONE_KEYWORDS:
+        # README names the function, then its keywords: `fn`'s `a`, `b` and `c`
+        assert re.search(rf"`{function}`'s? (`\w+`(, | and ))*`{keyword}`", text), \
+            (function, keyword)
+        assert keyword not in inspect.signature(_resolve(function)).parameters, (function, keyword)
 
 
 def test_every_matrix_product_runs_on_one_blas_thread():

@@ -170,6 +170,31 @@ def test_a_tau_past_the_state_range_is_refused_before_numpy_overflows(build):
             build()
 
 
+@pytest.mark.parametrize("build", [
+    lambda: nlcs(1.0, 1e200),
+    lambda: gk_coherent(1.0, 0.0, 1e200),
+    lambda: nc_squeezed(1.0, 0.3, 1e200),
+    lambda: FAMILIES["nc-squeezed"].norm(SimpleNamespace(alpha=1.0, zeta=0.3, tau=1e200)),
+], ids=["nlcs", "gk_coherent", "nc_squeezed", "nc-squeezed norm"])
+def test_a_tau_past_the_state_range_is_refused_without_a_warning(build):
+    # nc_squeezed and the registry's norm built their deformation first, so
+    # a PerturbativeRegimeWarning came before the refusal
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValidationError, match=r"^tau must be at most 1e\+100 "):
+            build()
+    assert caught == []
+
+
+def test_nc_squeezed_checks_zeta_before_tau():
+    # the order of the command line's errors, which builds its deformation first
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(DivergenceError, match=r"\|zeta\|=1\.5"):
+            nc_squeezed(1.0, 1.5, 1e200)
+    assert caught == []
+
+
 # --------------------------------------------------------------------- nlcs
 
 def test_nlcs_tau_zero_is_glauber():
