@@ -31,7 +31,7 @@ from .errors import DefockError, ValidationError, _stacklevel_outside
 from .fock_io import ScanTable
 from .specfun import log_factorial_table
 from .states import (FAMILIES, FockState, _check_n_max, _check_tau, _family_options,
-                     nc_coherent_coeffs)
+                     _scan_states, nc_coherent_coeffs)
 
 __all__ = [
     "BeamSplitter",
@@ -355,42 +355,41 @@ def linear_entropy_closed_form(alpha: complex, tau: float, bs: BeamSplitter,
 # grid scans
 # ---------------------------------------------------------------------------
 
-def _scan_point(family, p, bs, n_max):
-    # bs has phi = 0: phi puts the phase (e^{-i phi})^m on column m of M,
-    # and a phase on a column cancels in rho_c = M M^H.  Both routes read
-    # port c, so every phi gives the same entropies, and at phi = 0 a real
-    # alpha keeps the whole direct route real.  One transform and one Gram
-    # serve both routes (see the module docstring).
-    s_closed = float("nan")
-    try:
-        state = FAMILIES[family].build(p, n_max)
-        m, m_sq = _unit_transform(state.amps, bs.t, bs.r)
-        rho = _leading_gram(m)
-        purity = float(np.sum(np.abs(rho) ** 2))
-        s_direct = 1.0 - purity
-        if family == "nlcs":
-            s_closed = _closed_form(state.amps, m, rho, purity, m_sq)
-        flag = ""
-    except DefockError as exc:
-        s_direct = float("nan")
-        s_closed = float("nan")
-        flag = type(exc).__name__
-    return [float(p.alpha), float(p.tau), float(p.zeta), s_direct, s_closed, flag]
+def _scan_point(family, state, bs):
+    """(S_direct, S_closed, flag) of one scan point from its state, or from
+    the ``DefockError`` that refused the state.
+
+    bs has phi = 0: phi puts the phase (e^{-i phi})^m on column m of M,
+    and a phase on a column cancels in rho_c = M M^H.  Both routes read
+    port c, so every phi gives the same entropies, and at phi = 0 a real
+    alpha keeps the whole direct route real.  One transform and one Gram
+    serve both routes (see the module docstring).
+    """
+    if isinstance(state, DefockError):
+        return [float("nan"), float("nan"), type(state).__name__]
+    m, m_sq = _unit_transform(state.amps, bs.t, bs.r)
+    rho = _leading_gram(m)
+    purity = float(np.sum(np.abs(rho) ** 2))
+    s_closed = _closed_form(state.amps, m, rho, purity, m_sq) if family == "nlcs" else float("nan")
+    return [1.0 - purity, s_closed, ""]
 
 
 def entropy_scan(family: str, alpha_grid, tau_grid=None, *,
                  zeta: float | None = None, bs: BeamSplitter | None = None,
                  n_max: int = 64) -> ScanTable:
-    """Linear entropy over an (alpha, tau) grid, one point after another.
+    """Linear entropy over an (alpha, tau) grid, one tau row after another.
 
     ``family`` is a registry family whose parameters fit the grid, spelled
     with '_' for '-'.  It takes ``tau_grid`` and ``zeta`` (None: not given)
     as ``state`` takes ``--tau`` and ``--zeta``, and a tau or zeta that it
-    does not read is written as 0.  Every grid point is evaluated
-    independently; failures are recorded in the ``flag`` column and never
-    abort the scan.  A tau that no minimal-length state takes is refused
-    before the first point.  For the ``nlcs`` family the closed-form value
-    is computed alongside the direct one.
+    does not read is written as 0.  The states of a tau row are built
+    together, in blocks of a fixed number of alphas (see
+    ``states._build_truncated``), but every point still doubles its
+    truncation and is flagged on its own, and each point's transform and
+    Gram are its own.  Failures are recorded in the ``flag`` column and
+    never abort the scan.  A tau that no minimal-length state takes is
+    refused before the first point.  For the ``nlcs`` family the
+    closed-form value is computed alongside the direct one.
     """
     names = {name.replace("-", "_"): name for name, spec in FAMILIES.items() if spec.scannable}
     if family not in names:
@@ -418,7 +417,8 @@ def entropy_scan(family: str, alpha_grid, tau_grid=None, *,
     )
     splitter = BeamSplitter(theta=bs.theta)
     for t in taus:
-        for a in alphas:
-            p = SimpleNamespace(**{**options, "alpha": a, "tau": t, "zeta": zeta})
-            table.append(_scan_point(names[family], p, splitter, int(n_max)))
+        row = SimpleNamespace(**{**options, "tau": t, "zeta": zeta})
+        states = _scan_states(names[family], alphas, row, int(n_max))
+        for a, state in zip(alphas, states):
+            table.append([a, t, zeta, *_scan_point(names[family], state, splitter)])
     return table

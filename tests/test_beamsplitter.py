@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import defock
-from defock import beamsplitter
+from defock import beamsplitter, states
 from defock.beamsplitter import (
     BeamSplitter,
     DensityMatrix,
@@ -24,7 +24,7 @@ from defock.beamsplitter import (
     partial_trace,
     von_neumann_entropy,
 )
-from defock.errors import PerturbativeRegimeWarning, ValidationError
+from defock.errors import DefockError, PerturbativeRegimeWarning, ValidationError
 from defock.specfun import log_factorial_table
 from defock.states import (
     FAMILIES,
@@ -753,6 +753,104 @@ def test_scan_writes_0_for_what_its_family_does_not_read(family, tau_grid, zeta,
     assert [tuple(row[1:3]) for row in table.rows] == [want, want]
     assert table.provenance["zeta"] == format(want[1], ".17g")
     assert table.column("flag") == ["", ""]
+
+
+# ------------------------------------------ rows of states against points
+
+def scan_by_points(family, alphas, tau, zeta, n_max):
+    """(S_direct, flag, n_max used) of each alpha: the family's public
+    constructor, one point at a time, then the public pipeline; reference only."""
+    build = {"glauber": lambda a: glauber(a, n_max),
+             "nlcs": lambda a: nlcs(a, tau, n_max),
+             "nc-squeezed": lambda a: nc_squeezed(a, zeta, tau, n_max),
+             "ho-squeezed": lambda a: ho_squeezed(a, zeta, n_max)}[family]
+    out = []
+    for a in alphas:
+        try:
+            state = build(a)
+        except DefockError as exc:
+            out.append((float("nan"), type(exc).__name__, None))
+            continue
+        rho = partial_trace(apply_beamsplitter(state, FIFTY), "c")
+        out.append((linear_entropy(rho), "", state.n_max))
+    return out
+
+
+# each family's tau and zeta, as the scan takes them (None: not given)
+_ROW_OPTIONS = {"glauber": (None, None), "nlcs": (0.2, None),
+                "nc-squeezed": (0.2, 0.25), "ho-squeezed": (None, 0.25)}
+
+
+def assert_rows_are_points(family, alphas, n_max):
+    tau, zeta = _ROW_OPTIONS[family]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        table = entropy_scan(family.replace("-", "_"), alphas, None if tau is None else [tau],
+                             zeta=zeta, n_max=n_max)
+        want = scan_by_points(family, alphas, tau or 0.0, zeta or 0.0, n_max)
+    got = [(row[3], row[5]) for row in table.rows]
+    # bit patterns, so that the last bit of an entropy shows
+    assert [(np.float64(s).tobytes(), flag) for s, flag in got] == \
+        [(np.float64(s).tobytes(), flag) for s, flag, _ in want]
+    return [used for _, _, used in want]
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 3, 64, 256])
+@pytest.mark.parametrize("family", list(_ROW_OPTIONS))
+def test_scan_rows_are_bit_equal_to_one_state_at_a_time(family, n_max, monkeypatch):
+    rows = []
+    real_recurrence = states._real_recurrence
+    monkeypatch.setattr(states, "_real_recurrence",
+                        lambda alphas, *args: rows.append(len(alphas))
+                        or real_recurrence(alphas, *args))
+    # the grid starts at alpha = 0; a squeezed row of 8 alphas or more
+    # runs the recurrence's float64 loop, and one state its complex loop
+    assert_rows_are_points(family, np.linspace(0.0, 2.2, 11), n_max)
+    assert bool(rows) == family.endswith("squeezed")
+    # negative alphas, which take the per-alpha complex loop
+    assert_rows_are_points(family, np.linspace(-2.2, 0.4, 9), n_max)
+
+
+@pytest.mark.parametrize("family", list(_ROW_OPTIONS))
+def test_scan_row_where_only_some_points_double(family):
+    used = assert_rows_are_points(family, np.linspace(0.0, 3.5, 12), 16)
+    assert used[0] == 16 and max(used) > 16
+
+
+@pytest.mark.parametrize("family", list(_ROW_OPTIONS))
+def test_scan_flags_only_the_points_that_fail(family):
+    # as entropy-scan --alphas=-1e308,0.5,1e308: only the outer two fail
+    assert_rows_are_points(family, [-1e308, 0.5, 1e308], 64)
+    table = entropy_scan(family.replace("-", "_"), [-1e308, 0.5, 1e308],
+                         [0.2] if family in ("nlcs", "nc-squeezed") else None,
+                         zeta=_ROW_OPTIONS[family][1], n_max=64)
+    assert table.column("flag") == ["TruncationError", "", "TruncationError"]
+    # a row of 8 non-negative alphas, whose squeezed series overflows for two
+    assert_rows_are_points(family, [0.0, 0.5, 1e200, 1.0, 1e308, 1.5, 2.0, 2.5, 0.25], 64)
+
+
+def test_every_family_that_fits_the_grid_has_a_row_builder():
+    assert {name for name, spec in FAMILIES.items() if spec.scannable} == \
+        {name for name, spec in FAMILIES.items() if set(spec.requires) <= {"tau"}}
+
+
+@pytest.mark.parametrize("tau, zeta, basis", [(0.2, 0.25, "perturbed"), (0.05, -0.4, "bare"),
+                                              (0.0, 0.0, "perturbed")])
+@pytest.mark.parametrize("family", [name for name, spec in FAMILIES.items() if spec.scannable])
+def test_row_builder_reads_the_options_as_build_does(family, tau, zeta, basis):
+    # a family's rows and build read the same options the same way: each
+    # state of a row is the state that build makes at its alpha
+    spec = FAMILIES[family]
+    rows = [[0.4 - 0.9j], [-1.3], list(np.linspace(0.0, 2.0, 9))]  # the last: a float64 row
+    for alphas in rows:
+        got = list(spec.rows(np.array(alphas), SimpleNamespace(tau=tau, zeta=zeta, basis=basis),
+                             24))
+        for alpha, state in zip(alphas, got):
+            p = SimpleNamespace(**{**spec.defaults, "tau": tau, "zeta": zeta, "basis": basis,
+                                   "alpha": complex(alpha)})
+            want = spec.build(p, 24)
+            assert (state.amps.tobytes(), state.tail_mass, state.n_max) == \
+                (want.amps.tobytes(), want.tail_mass, want.n_max)
 
 
 def test_n_max_bound(monkeypatch):

@@ -639,17 +639,20 @@ _TAU_ZETA_SETS = [[], [("--tau", "--taus", "0.2")], [("--zeta", "--zeta", "0.3")
 @pytest.mark.parametrize("family", _SCANNABLE)
 def test_entropy_scan_and_state_take_the_same_tau_and_zeta(tmp_path, capsys, monkeypatch,
                                                            family):
-    # derived from the registry, so that a new scannable family is held to it
+    # derived from the registry, so that a new scannable family is held to it.
+    # The scan builds each tau row of states at once, so the row builders
+    # record the (tau, zeta) of each state of their row.
     built, depth = [], [0]
 
     def recording(name):
         make = getattr(states, name)
 
         def wrapper(*args, **kwargs):
-            # the outermost constructor only: ho_squeezed at zeta 0 calls glauber
+            # the outermost builder only: the ho-squeezed row at zeta 0 is glauber's
             if not depth[0]:
                 bound = inspect.signature(make).bind(*args, **kwargs).arguments
-                built.append((bound.get("tau", 0.0), bound.get("zeta", 0.0)))
+                built.extend([(bound.get("tau", 0.0), bound.get("zeta", 0.0))]
+                             * len(bound["alphas"]))
             depth[0] += 1
             try:
                 return make(*args, **kwargs)
@@ -658,7 +661,7 @@ def test_entropy_scan_and_state_take_the_same_tau_and_zeta(tmp_path, capsys, mon
 
         return wrapper
 
-    for name in ("glauber", "nlcs", "nc_squeezed", "ho_squeezed"):
+    for name in ("_glauber_row", "_nlcs_row", "_nc_squeezed_row", "_ho_squeezed_row"):
         monkeypatch.setattr(states, name, recording(name))
     for k, given in enumerate(_TAU_ZETA_SETS):
         state_argv = ["state", "--family", family, "--alpha-re", "0.5", "--nmax", "16"]
@@ -710,14 +713,19 @@ def test_tracer_counts_one_build_per_state_job_and_scan_point(tmp_path):
         f"codes = [defock.cli.main(argv + ['--out', {str(tmp_path)!r}]) for argv in jobs]\n"
         "top = {name for name, _, _, parent, _ in tracer.spans\n"
         "       if name.startswith('states.') and tracer.spans[parent][0] == 'cli.main'}\n"
-        "print(json.dumps([codes, tracer.counts['states.builds'], sorted(top)]))\n"
+        "scan = {name for name, _, _, parent, _ in tracer.spans\n"
+        "        if parent >= 0 and tracer.spans[parent][0] == 'beamsplitter.entropy_scan'}\n"
+        "print(json.dumps([codes, tracer.counts['states.builds'], sorted(top), sorted(scan)]))\n"
     )
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                           text=True, check=True, timeout=120)
-    codes, builds, top = json.loads(done.stdout.strip().splitlines()[-1])
+    codes, builds, top, scan = json.loads(done.stdout.strip().splitlines()[-1])
     assert codes == [0] * 9
-    # 8 state jobs and 4 scan points
-    assert builds == 12
+    # 8 state jobs.  The scan builds each tau row of states at once, through
+    # the private row builders, not the registry constructors, so the tracer
+    # sees none of its 4 states and no span below the scan
+    assert builds == 8
+    assert scan == []
     assert top == sorted(
         f"states.{name}" for name in (
             "glauber", "nlcs", "q_coherent", "gk_coherent", "nc_squeezed", "ho_squeezed",

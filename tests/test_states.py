@@ -1,6 +1,7 @@
 import cmath
 import math
 import time
+import tracemalloc
 import warnings
 from types import SimpleNamespace
 
@@ -395,15 +396,15 @@ def test_series_at_a_zero_argument(alpha):
     w = 12
     empty = np.full(w - 1, -math.inf)
     for log_denom in (0.5 * log_factorial_table(w), np.linspace(0.25, 3.0, w)):
-        log_abs, phase = states._power_series_logs(alpha, log_denom)
+        (log_abs,), (phase,) = states._power_series_logs([alpha], log_denom)
         assert np.array_equal(log_abs, np.r_[-log_denom[0], empty])
         assert phase.tobytes() == np.ones(w, dtype=complex).tobytes()
-    log_abs, phase = states._gk_series(0.0, 0.7, 0.1)(w)
+    (log_abs,), (phase,) = states._gk_series(0.0, 0.7, 0.1)(w, [0])
     assert np.array_equal(log_abs, np.r_[0.0, empty])
     e_n = dimensionless_e(Deformation.perturbative_nc(0.1), np.arange(w))
     assert np.array_equal(phase, np.exp(-1j * 0.7 * e_n))
     for m in (0, 2):
-        log_abs, phase = states._pacs_series(alpha, 0.9, m)(w)
+        (log_abs,), (phase,) = states._pacs_series(alpha, 0.9, m)(w, [0])
         wide = len(log_abs)
         want = np.full(wide, -math.inf)
         want[m] = 0.5 * log_rho_table(Deformation.q_deformed(0.9), wide)[m]
@@ -513,23 +514,49 @@ def test_recurrence_large_n_rescaling():
     assert np.max(np.abs(np.abs(phase) - 1.0)) < 1e-12
 
 
+def assert_bits_equal(got, want):
+    """(log|I|, phase) pairs equal bit for bit, so that a signed zero or the
+    last bit of a log shows."""
+    assert got[0].view(np.uint64).tolist() == want[0].view(np.uint64).tolist()
+    assert got[1].view(np.float64).view(np.uint64).tolist() == \
+        want[1].view(np.float64).view(np.uint64).tolist()
+
+
+# A row of 8 non-negative reals or more runs the float64 loop; a shorter one,
+# or one with a negative alpha (or -0.0), the complex loop alpha by alpha.
+_ROW = (st.lists(st.floats(0.0, 4.0), min_size=8, max_size=12)
+        | st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=12))
+
+
 @settings(database=None, derandomize=True, deadline=None, max_examples=400)
 @given(alpha=st.complex_numbers(max_magnitude=4.0) | st.floats(-4.0, 4.0).map(complex),
        zeta=st.complex_numbers(max_magnitude=1.2) | st.floats(-1.2, 1.2).map(complex),
        tau=st.none() | st.floats(min_value=0.0, max_value=0.5),
-       n_max=st.integers(min_value=2, max_value=1100))
-@example(alpha=0j, zeta=0.5 + 0.2j, tau=0.1, n_max=40)
-@example(alpha=1.5 - 0.5j, zeta=0j, tau=None, n_max=40)
-@example(alpha=0j, zeta=0j, tau=0.3, n_max=2)
-@example(alpha=2.0 + 0j, zeta=0.9 + 0j, tau=0.5, n_max=1100)  # rescales past 1e120
-def test_recurrence_bit_equal_to_the_per_level_loop(alpha, zeta, tau, n_max):
+       n_max=st.integers(min_value=2, max_value=1100), row=_ROW)
+@example(alpha=0j, zeta=0.5 + 0.2j, tau=0.1, n_max=40, row=[0.0] * 8)
+@example(alpha=1.5 - 0.5j, zeta=0j, tau=None, n_max=40, row=[-0.0] + [1.0] * 8)
+@example(alpha=0j, zeta=0j, tau=0.3, n_max=2, row=[0.5] * 8)
+# rescales past 1e120, the alphas of the row at levels of their own
+@example(alpha=2.0 + 0j, zeta=0.9 + 0j, tau=0.5, n_max=1100,
+         row=[2.0, 0.0, 2.0001, 0.3, 2.0, 1.0, 3.9, 0.5, 2.0])
+# alphas above 1e120, which rescale from the first step on
+@example(alpha=1e130 + 0j, zeta=0.3 + 0j, tau=0.1, n_max=60,
+         row=[1e130, 0.5, 2.0, 0.0, 1.0, 3.0, 1e125, 0.25])
+def test_recurrence_bit_equal_to_the_per_level_loop(alpha, zeta, tau, n_max, row):
     d = HARMONIC if tau is None else Deformation.perturbative_nc(tau)
-    got = squeezed_coeffs_recurrence(alpha, zeta, d, n_max)
-    want = squeezed_coeffs_per_level(alpha, zeta, d, n_max)
-    # bit patterns, so that a signed zero or the last bit of a log shows
-    assert got[0].view(np.uint64).tolist() == want[0].view(np.uint64).tolist()
-    assert got[1].view(np.float64).view(np.uint64).tolist() == \
-        want[1].view(np.float64).view(np.uint64).tolist()
+    assert_bits_equal(squeezed_coeffs_recurrence(alpha, zeta, d, n_max),
+                      squeezed_coeffs_per_level(alpha, zeta, d, n_max))
+    # each alpha of a row, at the real part of zeta, as a scan row takes it
+    got = squeezed_coeffs_recurrence(np.array(row), zeta.real, d, n_max)
+    for k, a in enumerate(row):
+        assert_bits_equal((got[0][k], got[1][k]),
+                          squeezed_coeffs_per_level(a, zeta.real, d, n_max))
+
+
+def test_recurrence_row_refuses_the_first_alpha_that_overflows():
+    row = np.array([0.5] * 7 + [1e200, 2.0, 1e308])
+    with pytest.raises(TruncationError, match=r"at level 2 \(\|alpha\| = 1e\+200\)$"):
+        squeezed_coeffs_recurrence(row, 0.25, HARMONIC, 40)
 
 
 # ------------------------------------------------------------ squeezed states
@@ -841,9 +868,9 @@ def test_summed_norms_stop_at_eight_times_max_n_max():
 
     lengths = []
 
-    def flat(w):
+    def flat(w, rows):
         lengths.append(w)
-        return np.zeros(w), np.ones(w)
+        return np.zeros((1, w)), np.ones((1, w))
 
     with pytest.raises(DivergenceError, match="^flat normalization series did not converge$"):
         _series_norm(flat, "flat")
@@ -862,3 +889,61 @@ def test_summed_norms_stop_at_eight_times_max_n_max():
         _assert_norm_matches_raw_series(family, alpha=complex(alpha), q=q, parity=parity, m=2)
     assert q_normalization(alpha, q) == pytest.approx(
         math.sqrt(q_exponential(alpha ** 2, q)), rel=1e-13)
+
+
+# ------------------------------------------------------------ rows of states
+
+def tail_mass_one_row(log_w, n_keep):
+    """The tail estimate of one weight series by 1-D reductions, as the
+    driver took it before it built rows of states; reference only."""
+    finite = log_w[np.isfinite(log_w)]
+    if finite.size == 0:
+        return 0.0
+    w = np.exp(log_w - finite.max())
+    sums = [float(np.sum(part)) for part in (w[:n_keep], w[n_keep:], w[-4:], w[-8:-4])]
+    return states._tail_fraction(*sums)
+
+
+def scaled_values_one_row(log_abs, phase):
+    """One row's coefficients over their largest magnitude, by 1-D
+    reductions; reference only."""
+    finite = log_abs[np.isfinite(log_abs)]
+    return np.exp(log_abs - (finite.max() if finite.size else 0.0)) * phase
+
+
+@settings(database=None, derandomize=True, deadline=None, max_examples=150)
+@given(rows=st.integers(1, 70), width=st.integers(9, 600), scale=st.sampled_from([1, 30, 300]),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_row_reductions_bit_equal_to_one_row_at_a_time(rows, width, scale, seed, data):
+    rng = np.random.default_rng(seed)
+    n_keep = data.draw(st.integers(1, width - 8))
+    log_w = rng.normal(size=(rows, width)) * scale
+    log_w[rng.random(log_w.shape) < 0.1] = -math.inf  # zeros of a series
+    log_w[rng.random(rows) < 0.1] = -math.inf  # a row without a weight
+    phase = np.exp(1j * rng.normal(size=(rows, width)))
+    got = states._tail_mass(log_w, n_keep)
+    assert np.array(got).tobytes() == \
+        np.array([tail_mass_one_row(row, n_keep) for row in log_w]).tobytes()
+    # sliced as the driver slices the guarded levels
+    got = states._scaled_values(log_w[:, :n_keep + 4], phase[:, :n_keep + 4])
+    assert got.tobytes() == np.array([scaled_values_one_row(a[:n_keep + 4], p[:n_keep + 4])
+                                      for a, p in zip(log_w, phase)]).tobytes()
+
+
+@pytest.mark.parametrize("family, n_max, long", [("nlcs", MAX_N_MAX, 4096),
+                                                   ("nc-squeezed", 64, 1024)])
+def test_row_builder_memory_does_not_grow_with_the_row(family, n_max, long):
+    # the squeezed row runs the float64 recurrence, whose logs make one
+    # Python float per level and alpha: slow under tracemalloc
+    options = SimpleNamespace(tau=0.1, zeta=0.25, basis="perturbed")
+    peaks = []
+    for count in (64, 64, long):  # the first run fills the caches
+        alphas = np.linspace(0.0, 2.0, count)
+        tracemalloc.start()
+        for state in states._scan_states(family, alphas, options, n_max):
+            assert state.n_max == n_max
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    # one block of 64 states holds at most a few MB; the whole row would
+    # hold 16 or 64 times more
+    assert peaks[2] <= 1.1 * peaks[1]
